@@ -26,7 +26,8 @@ from .design import (
     serialize_design,
     strength_combinatorial,
 )
-from .indicator import gwlp, nonzero_coefficients_up_to, strength_from_coefficients
+# gwlp stays importable from here; perfbench/tracing.py patches it at this binding
+from .indicator import gwlp, summarize  # noqa: F401
 from .isomorphism import is_isomorphic
 from .permutation import LevelPerm, check_perm_constraints, is_monomial, poly_coefficients
 from .regularity import StrengthError, regularity_check
@@ -62,36 +63,36 @@ def _cmd_analyze(args) -> int:
             f"table size {design.s}^{design.m} exceeds the enumeration bound; pass --max-order"
         )
     max_order = args.max_order if args.max_order is not None else design.m
-    t_coeff = strength_from_coefficients(design)
+    summary = summarize(design, max_order)
     t_comb = strength_combinatorial(design)
-    if t_coeff != t_comb:
-        raise AssertionError(f"strength mismatch: coefficients say {t_coeff}, projections say {t_comb}")
-    pattern = gwlp(design) if full else None
-    entries = list(nonzero_coefficients_up_to(design, max_order))
+    if summary.strength != t_comb:
+        raise AssertionError(
+            f"strength mismatch: coefficients say {summary.strength}, projections say {t_comb}"
+        )
+    pattern = [float(a) for a in summary.gwlp] if summary.gwlp is not None else None
     if args.json:
         payload = {
             "n": design.n,
             "m": design.m,
             "s": design.s,
-            "strength": t_coeff,
-            "gwlp": list(pattern) if pattern is not None else None,
+            "strength": summary.strength,
+            "gwlp": pattern,
             "coefficients": [
                 {"alpha": list(alpha), "numerator": list(num.coeffs), "denominator": denominator}
-                for alpha, num in entries
+                for alpha, num in summary.coefficients
             ],
         }
         print(json.dumps(payload))
         return 0
     print(f"n={design.n} m={design.m} s={design.s}")
-    print(f"strength={t_coeff} (coefficient and combinatorial methods agree)")
+    print(f"strength={summary.strength} (coefficient and combinatorial methods agree)")
     if pattern is None:
         print("GWLP: skipped (design exceeds the enumeration bound)")
     else:
-        shown = [0.0 if abs(v) < 1e-9 else v for v in pattern]
-        print("GWLP: " + " ".join(f"A_{j + 1}={v:.6g}" for j, v in enumerate(shown)))
+        print("GWLP: " + " ".join(f"A_{j + 1}={v:.6g}" for j, v in enumerate(pattern)))
     print(f"b_0 = {design.n}/{denominator}")
     print(f"nonzero coefficients up to order {max_order}:")
-    for alpha, num in entries:
+    for alpha, num in summary.coefficients:
         print(f"  alpha=({','.join(str(a) for a in alpha)})  numerator {num}  / {denominator}")
     return 0
 

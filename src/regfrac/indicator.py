@@ -7,8 +7,20 @@ with levels coded as roots of unity, the coefficient is
     b_alpha = (1/#D) * sum_{x in F} w_{[-alpha.x]},
 
 so s^m * b_alpha is an exact cyclotomic integer determined by the level
-counts n_{alpha,h} = #{x in F : alpha.x = h (mod s)}.  Everything here is
-computed from those counts; floating point appears only in aberrations.
+counts n_{alpha,h} = #{x in F : alpha.x = h (mod s)}.
+
+Counts are taken once per projective line {c*alpha : c = 1..s-1}, on its
+representative, the alpha whose first nonzero entry is 1.  Since
+(c*alpha).x = c*(alpha.x), the counts of every other point on the line are
+relabeled copies, n_{c*alpha,[c*h]} = n_{alpha,h}, and N_{c*alpha} is the
+Galois conjugate w -> w^c of N_alpha.  A coefficient vanishes exactly when
+its counts are uniform, so strength is decided on representatives alone,
+and Parseval over the s - 1 conjugates,
+
+    sum_{c=1}^{s-1} |N_{c*alpha}|^2 = s * sum_h n_{alpha,h}^2 - n^2,
+
+gives each line's share of the GWLP as an exact rational.  Floating point
+appears only in ``aberration`` (one alpha) and ``evaluate_indicator``.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import CycInt
 from .design import DEFAULT_ENUMERATION_BOUND, Design
@@ -27,10 +41,14 @@ def level_counts(design: Design, alpha) -> tuple[int, ...]:
     alpha = tuple(a % s for a in alpha)
     if len(alpha) != design.m:
         raise ValueError(f"exponent tuple {alpha} has {len(alpha)} entries, expected {design.m}")
+    rows = design.rows
+    values = [0] * len(rows)
+    for j, a in enumerate(alpha):
+        if a:
+            values = [v + a * row[j] for v, row in zip(values, rows)]
     counts = [0] * s
-    nonzero = [(j, a) for j, a in enumerate(alpha) if a]
-    for row in design.rows:
-        counts[sum(a * row[j] for j, a in nonzero) % s] += 1
+    for v in values:
+        counts[v % s] += 1
     return tuple(counts)
 
 
@@ -43,20 +61,65 @@ def coefficient_numerator(design: Design, alpha) -> CycInt:
     return numerator_from_counts(level_counts(design, alpha), design.s)
 
 
-def _exponents_of_order(s: int, m: int, order: int):
+def _supports(design: Design, order: int):
+    """(positions, lines) for every support of size ``order``, in lexicographic order.
+
+    ``lines`` maps the tail (v_2, ..., v_t) of each line representative,
+    the exponent with values (1, v_2, ..., v_t) on ``positions``, to its
+    level counts.  Only one support's lines are held at a time.
+    """
+    s, m = design.s, design.m
     for positions in itertools.combinations(range(m), order):
-        for values in itertools.product(range(1, s), repeat=order):
+        lines = {}
+        for tail in itertools.product(range(1, s), repeat=order - 1):
             alpha = [0] * m
-            for j, v in zip(positions, values):
+            for j, v in zip(positions, (1,) + tail):
                 alpha[j] = v
-            yield tuple(alpha)
+            lines[tail] = level_counts(design, alpha)
+        yield positions, lines
+
+
+def _members(s: int, m: int, positions, lines):
+    """(alpha, counts) for every exponent on one support whose line is in ``lines``.
+
+    Exponents come in lexicographic order of their values on ``positions``;
+    c * rep has counts n_{c*rep,h} = n_{rep,[h/c]}.
+    """
+    inverse = [0] + [pow(c, -1, s) for c in range(1, s)]
+    for values in itertools.product(range(1, s), repeat=len(positions)):
+        inv = inverse[values[0]]
+        rep = lines.get(tuple(v * inv % s for v in values[1:]))
+        if rep is None:
+            continue
+        alpha = [0] * m
+        for j, v in zip(positions, values):
+            alpha[j] = v
+        yield tuple(alpha), tuple(rep[h * inv % s] for h in range(s))
+
+
+def _uniform(counts) -> bool:
+    """True iff the coefficient with these level counts is zero."""
+    return min(counts) == max(counts)
+
+
+def _line_energy(counts, s: int) -> int:
+    """n^2 times the summed aberrations of the s - 1 points on one line."""
+    n = sum(counts)
+    return s * sum(c * c for c in counts) - n * n
+
+
+def _nonzero_members(s: int, m: int, positions, lines):
+    live = {tail: c for tail, c in lines.items() if not _uniform(c)}
+    if live:
+        for alpha, counts in _members(s, m, positions, live):
+            yield alpha, numerator_from_counts(counts, s)
 
 
 def strength_from_coefficients(design: Design) -> int:
     """Largest t with every coefficient of order 1..t equal to zero."""
     for t in range(1, design.m + 1):
-        for alpha in _exponents_of_order(design.s, design.m, t):
-            if not coefficient_numerator(design, alpha).is_zero():
+        for _, lines in _supports(design, t):
+            if not all(_uniform(c) for c in lines.values()):
                 return t - 1
     return design.m
 
@@ -75,18 +138,58 @@ def aberration(design: Design, alpha, counts=None) -> float:
     return total / (n * n)
 
 
-def gwlp(design: Design, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[float, ...]:
-    """(A_1, ..., A_m): aberrations summed by interaction order."""
+def gwlp(design: Design, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Fraction, ...]:
+    """(A_1, ..., A_m): aberrations summed by interaction order, exactly."""
     s, m = design.s, design.m
     if s**m > bound:
         raise ValueError(f"GWLP enumeration size {s}^{m} exceeds bound {bound}")
-    out = [0.0] * m
-    for order in range(1, m + 1):
-        acc = 0.0
-        for alpha in _exponents_of_order(s, m, order):
-            acc += aberration(design, alpha)
-        out[order - 1] = acc
-    return tuple(out)
+    energy = [
+        sum(_line_energy(c, s) for _, lines in _supports(design, t) for c in lines.values())
+        for t in range(1, m + 1)
+    ]
+    return tuple(Fraction(e, design.n**2) for e in energy)
+
+
+class IndicatorSummary(NamedTuple):
+    """Strength, GWLP (None past the bound) and nonzero coefficients up to an order."""
+
+    strength: int
+    gwlp: tuple[Fraction, ...] | None
+    coefficients: tuple[tuple[tuple[int, ...], CycInt], ...]
+
+
+def summarize(
+    design: Design, max_order: int, bound: int = DEFAULT_ENUMERATION_BOUND
+) -> IndicatorSummary:
+    """Strength, GWLP and nonzero coefficients of order <= max_order, in one pass.
+
+    Equal to ``strength_from_coefficients``, ``gwlp`` (None when s^m > bound)
+    and ``nonzero_coefficients_up_to``, with each line counted once.  The
+    pass covers every order when the GWLP is wanted, and otherwise orders up
+    to max(max_order, strength + 1).
+    """
+    s, m, n = design.s, design.m, design.n
+    full = s**m <= bound
+    strength = None
+    energy = [0] * m
+    coefficients = [((0,) * m, CycInt.integer(n, s))]
+    for t in range(1, m + 1):
+        if not full and t > max_order and strength is not None:
+            break
+        for positions, lines in _supports(design, t):
+            if strength is None and not all(_uniform(c) for c in lines.values()):
+                strength = t - 1
+            if full:
+                energy[t - 1] += sum(_line_energy(c, s) for c in lines.values())
+            elif t > max_order and strength is not None:
+                break
+            if t <= max_order:
+                coefficients.extend(_nonzero_members(s, m, positions, lines))
+    return IndicatorSummary(
+        strength=m if strength is None else strength,
+        gwlp=tuple(Fraction(e, n * n) for e in energy) if full else None,
+        coefficients=tuple(coefficients),
+    )
 
 
 @dataclass(frozen=True)
@@ -108,12 +211,13 @@ class IndicatorTable:
         s, m = design.s, design.m
         if s**m > bound:
             raise ValueError(f"table size {s}^{m} exceeds bound {bound}")
-        entries = {}
-        counts = {}
-        for alpha in itertools.product(range(s), repeat=m):
-            c = level_counts(design, alpha)
-            counts[alpha] = c
-            entries[alpha] = numerator_from_counts(c, s)
+        null = (0,) * m
+        found = {null: level_counts(design, null)}
+        for t in range(1, m + 1):
+            for positions, lines in _supports(design, t):
+                found.update(_members(s, m, positions, lines))
+        counts = {alpha: found[alpha] for alpha in sorted(found)}
+        entries = {alpha: numerator_from_counts(c, s) for alpha, c in counts.items()}
         return cls(s=s, m=m, n=design.n, entries=entries, counts=counts)
 
     def nonzero_entries(self, max_order: int | None = None):
@@ -136,12 +240,11 @@ def nonzero_coefficients_up_to(design: Design, max_order: int):
     Streams over the bounded-order exponents only, so it works on designs
     whose full table would exceed the enumeration bound.
     """
-    yield (0,) * design.m, CycInt.integer(design.n, design.s)
-    for order in range(1, min(max_order, design.m) + 1):
-        for alpha in _exponents_of_order(design.s, design.m, order):
-            num = coefficient_numerator(design, alpha)
-            if not num.is_zero():
-                yield alpha, num
+    s, m = design.s, design.m
+    yield (0,) * m, CycInt.integer(design.n, s)
+    for t in range(1, min(max_order, m) + 1):
+        for positions, lines in _supports(design, t):
+            yield from _nonzero_members(s, m, positions, lines)
 
 
 def evaluate_indicator(table: IndicatorTable, point) -> complex:

@@ -11,7 +11,9 @@ complete over m! * (s!)^(m-1) candidates, so a negative answer is a proof;
 running out of the time budget is reported as a distinct third outcome.
 
 An equal-GWLP prefilter runs first: differing GWLPs prove non-isomorphism,
-equal ones decide nothing.
+equal ones decide nothing.  The GWLP is exact (tuples of Fractions, see
+``indicator``), so the comparison is plain equality with no tolerance: a
+rounding error can neither merge two patterns nor split one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .indicator import gwlp
 from .permutation import LevelPerm, apply_level_perm
 
 DEFAULT_CANDIDATE_BOUND = 10**9
-GWLP_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ def _check_shapes(a: Design, b: Design) -> None:
         )
 
 
-def gwlp_prefilter(a: Design, b: Design, tolerance: float = GWLP_TOLERANCE) -> bool:
-    """True when the GWLPs agree componentwise; False proves non-isomorphism."""
+def gwlp_prefilter(a: Design, b: Design) -> bool:
+    """True when the GWLPs are equal; False proves non-isomorphism."""
     _check_shapes(a, b)
-    return all(abs(x - y) <= tolerance for x, y in zip(gwlp(a), gwlp(b)))
+    return gwlp(a) == gwlp(b)
 
 
 def apply_witness(design: Design, witness: IsoWitness) -> Design:

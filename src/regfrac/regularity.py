@@ -192,7 +192,7 @@ def find_triple_equation(
     if square is None:
         return None
     s, m = design.s, design.m
-    reps = [LevelPerm.identity(s)] if k in committed else list(coset_representatives(s))
+    reps = [LevelPerm.identity(s)] if k in committed else coset_representatives(s)
     for rep in reps:
         candidate = square if rep.is_identity else square.permute_values(rep)
         if not table_rank_one(candidate.rows, s):
@@ -281,8 +281,13 @@ def _multilayer_search(design: Design, factors: tuple[int, ...], committed: froz
     tables = _layer_tables(design, i, j, k, outers)
     if tables is None:
         return None
-    reps = [LevelPerm.identity(s)] if k in committed else list(coset_representatives(s))
+    reps = [LevelPerm.identity(s)] if k in committed else coset_representatives(s)
     zero = (0,) * len(outers)
+    # Under an equation every layer is a Latin square, whatever the value
+    # relabeling; without a bijective row 0 and column 0 nothing can be read out.
+    first = tables[zero]
+    if len(set(first[0])) != s or len({r[0] for r in first}) != s:
+        return None
     for rep in reps:
         layered = {
             z: [[rep.image[v] for v in r] for r in cell] for z, cell in tables.items()

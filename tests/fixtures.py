@@ -90,6 +90,18 @@ def nonregular_design_7() -> Design:
     return design_from_square(SQUARE_NONREGULAR_7, 7)
 
 
+def latin_with_free_factor(order) -> Design:
+    """SQUARE_NONREGULAR, output levels 0 and 1 swapped, times a free 5-level factor.
+
+    Runs are (a, b, output, free) with the columns placed by ``order``.  A
+    non-regular OA(125, 4, 5, 2) whose layered tables include constant
+    rows and columns.
+    """
+    swap = (1, 0, 2, 3, 4)
+    runs = [(a, b, swap[SQUARE_NONREGULAR[a][b]], f) for a in range(5) for b in range(5) for f in range(5)]
+    return Design(s=5, m=4, rows=tuple(tuple(run[c] for c in order) for run in runs))
+
+
 TWO_EQUATION_GENERATORS = ((2, 1, 1, 0, 0), (1, 1, 0, 1, 1))
 TWO_EQUATION_CONSTANTS = (1, 1)
 SCRAMBLE_125 = {1: (0, 1, 4, 3, 2), 5: (1, 2, 0, 3, 4)}

@@ -1,12 +1,23 @@
 """End-to-end command-line checks: output content, JSON schemas, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from regfrac import parse_design, serialize_design
 from regfrac.cli import main
-from fixtures import cyclic_design, nonregular_design, scrambled_125_design, scrambled_design
+from fixtures import (
+    cyclic_design,
+    latin_with_free_factor,
+    nonregular_design,
+    scrambled_125_design,
+    scrambled_design,
+)
+
+# `regfrac analyze` text output recorded while the GWLP was still summed in
+# floating point: the exact GWLP must print the same digits
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -42,12 +53,22 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(out)
         assert payload["strength"] == 2
-        assert payload["gwlp"] == pytest.approx([0.0, 0.0, 4.0], abs=1e-9)
+        assert payload["gwlp"] == [0.0, 0.0, 4.0]
         assert {
             "alpha": [1, 1, 4],
             "numerator": [25, 0, 0, 0, 0],
             "denominator": 125,
         } in payload["coefficients"]
+
+    @pytest.mark.parametrize(
+        "name, design",
+        [("analyze_cyclic", cyclic_design()), ("analyze_scrambled_125", scrambled_125_design())],
+    )
+    def test_text_output_is_pinned(self, name, design, design_file, capsys):
+        path = design_file(design, "f.txt")
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
     def test_max_order_limits_listing(self, design_file, capsys):
         path = design_file(cyclic_design(), "f.txt")
@@ -102,6 +123,13 @@ class TestRegularity:
         code, out, _ = run(capsys, "regularity", path)
         assert code == 1
         assert "regular: no" in out
+
+    def test_free_factor_beside_non_cyclic_square_exit_one(self, design_file, capsys):
+        for order in [(0, 1, 3, 2), (0, 3, 1, 2)]:
+            path = design_file(latin_with_free_factor(order), "free.txt")
+            code, out, err = run(capsys, "regularity", path, "--json")
+            assert (code, err) == (1, "")
+            assert json.loads(out)["regular"] is False
 
     def test_non_orthogonal_exit_four(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

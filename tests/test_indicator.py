@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from regfrac import (
+    DefiningEquation,
     Design,
     IndicatorTable,
     LevelPerm,
@@ -16,12 +18,19 @@ from regfrac import (
     full_factorial,
     gwlp,
     level_counts,
+    regular_fraction,
     root,
     strength_combinatorial,
     strength_from_coefficients,
 )
+from regfrac.indicator import (
+    _members,
+    _supports,
+    nonzero_coefficients_up_to,
+    summarize,
+)
 from fixtures import cyclic_design, plain_125_design, scrambled_125_design
-from oracles import complex_coefficient, complex_gwlp, omega
+from oracles import complex_coefficient, complex_gwlp, constant_words, omega
 
 CONFOUNDED_WORDS = [(1, 1, 4), (2, 2, 3), (3, 3, 2), (4, 4, 1)]
 
@@ -181,6 +190,27 @@ class TestGwlp:
             d = Design(s=5, m=3, rows=tuple(rng.sample(universe, rng.randint(5, 30))))
             assert gwlp(d) == pytest.approx(complex_gwlp(d), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "design, plain",
+        [
+            (cyclic_design(), cyclic_design()),
+            (plain_125_design(), plain_125_design()),
+            (scrambled_125_design(), plain_125_design()),
+            (regular_fraction(3, 4, [DefiningEquation((1, 2, 1, 0), 2)]),) * 2,
+        ],
+    )
+    def test_exact_word_counts_on_regular_fractions(self, design, plain):
+        # A_j of a regular fraction is its number of words of length j;
+        # level permutations leave the pattern unchanged
+        words = constant_words(plain.point_set(), design.s, design.m)
+        expected = [0] * design.m
+        for alpha in words:
+            if any(alpha):
+                expected[sum(1 for a in alpha if a) - 1] += 1
+        pattern = gwlp(design)
+        assert all(type(a) is Fraction for a in pattern)
+        assert pattern == tuple(expected)
+
     def test_invariance_under_relabelings(self):
         rng = random.Random(6)
         universe = list(itertools.product(range(5), repeat=3))
@@ -193,6 +223,66 @@ class TestGwlp:
             cols = rng.sample(range(3), 3)
             shuffled = Design(s=5, m=3, rows=tuple(tuple(r[c] for c in cols) for r in permuted.rows))
             assert gwlp(shuffled) == pytest.approx(reference, abs=1e-6)
+
+
+def _random_design(rng, s, m):
+    universe = list(itertools.product(range(s), repeat=m))
+    return Design(s=s, m=m, rows=tuple(rng.sample(universe, rng.randint(1, min(len(universe), 60)))))
+
+
+def _by_order(s, m):
+    """Every nonzero exponent, grouped by order, in listing order."""
+    out = []
+    for t in range(1, m + 1):
+        for positions in itertools.combinations(range(m), t):
+            for values in itertools.product(range(1, s), repeat=t):
+                alpha = [0] * m
+                for j, v in zip(positions, values):
+                    alpha[j] = v
+                out.append(tuple(alpha))
+    return out
+
+
+# (s, m) pairs small enough to enumerate every exponent
+RANDOM_SHAPES = [(2, 2), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)]
+
+
+class TestLineCounts:
+    """Counting one point per projective line agrees with counting every alpha."""
+
+    def test_derived_counts_match_per_alpha_counts(self):
+        rng = random.Random(7)
+        for s, m in RANDOM_SHAPES * 3:
+            d = _random_design(rng, s, m)
+            derived = [
+                pair
+                for t in range(1, m + 1)
+                for positions, lines in _supports(d, t)
+                for pair in _members(s, m, positions, lines)
+            ]
+            assert derived == [(alpha, level_counts(d, alpha)) for alpha in _by_order(s, m)]
+
+    def test_table_listing_strength_and_summary_match_per_alpha_path(self):
+        rng = random.Random(8)
+        for s, m in RANDOM_SHAPES * 3:
+            d = _random_design(rng, s, m)
+            per_alpha = {
+                alpha: coefficient_numerator(d, alpha) for alpha in itertools.product(range(s), repeat=m)
+            }
+            table = IndicatorTable.compute(d)
+            assert list(table.entries.items()) == list(per_alpha.items())
+            assert table.counts == {alpha: level_counts(d, alpha) for alpha in per_alpha}
+
+            nonzero = [(0,) * m] + [a for a in _by_order(s, m) if not per_alpha[a].is_zero()]
+            orders = [sum(1 for v in a if v) for a in nonzero]
+            strength = next((t - 1 for t in orders if t), m)
+            assert strength_from_coefficients(d) == strength
+            for k in range(m + 1):
+                listed = [(a, per_alpha[a]) for a, t in zip(nonzero, orders) if t <= k]
+                assert list(nonzero_coefficients_up_to(d, k)) == listed
+                assert summarize(d, k) == (strength, gwlp(d), tuple(listed))
+                assert summarize(d, k, bound=s**m) == (strength, gwlp(d), tuple(listed))
+                assert summarize(d, k, bound=s**m - 1) == (strength, None, tuple(listed))
 
 
 class TestIndicatorTable:

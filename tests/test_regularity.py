@@ -1,6 +1,7 @@
 """Latin squares, the rank-1 criterion, and the full regularity decision."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,6 +35,7 @@ from fixtures import (
     SQUARE_NONREGULAR,
     SQUARE_SCRAMBLED_RANK1,
     cyclic_design,
+    latin_with_free_factor,
     nonregular_design,
     nonregular_design_7,
     scrambled_125_design,
@@ -300,6 +302,32 @@ class TestRegularityCheck:
         assert payload["permutations"] == [[0, 1, 2, 3, 4]] * 3
         assert payload["equations"] == [{"exponents": [1, 1, 4], "constant": 0}]
         assert isinstance(payload["tuples_examined"], int)
+
+
+class TestRegressions:
+    @pytest.mark.parametrize("order", [(0, 1, 3, 2), (0, 3, 1, 2)])
+    def test_free_factor_beside_non_cyclic_square_is_not_regular(self, order):
+        # the layer tables of some orderings have constant rows or columns,
+        # which no readout can turn into an equation
+        d = latin_with_free_factor(order)
+        report = regularity_check(d)
+        assert not report.regular
+        assert report.strength == 2
+        free = order.index(3) + 1
+        others = [f for f in range(1, 5) if f != free]
+        assert find_equation_multilayer(d, (free, *others)) is None
+
+    def test_thirteen_levels_need_not_materialize_the_cosets(self):
+        # 11! coset representatives exist; the first one already succeeds
+        d = regular_fraction(13, 3, [DefiningEquation((1, 1, 12), 0)])
+        tracemalloc.start()
+        try:
+            report = regularity_check(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.regular
+        assert peak < 50 * 2**20
 
 
 def random_regular_design(rng, s, m, r):
