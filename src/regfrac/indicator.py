@@ -28,11 +28,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import CycInt
 from .design import DEFAULT_ENUMERATION_BOUND, Design
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def level_counts(design: Design, alpha) -> tuple[int, ...]:
@@ -115,15 +117,6 @@ def _nonzero_members(s: int, m: int, positions, lines):
             yield alpha, numerator_from_counts(counts, s)
 
 
-def strength_from_coefficients(design: Design) -> int:
-    """Largest t with every coefficient of order 1..t equal to zero."""
-    for t in range(1, design.m + 1):
-        for _, lines in _supports(design, t):
-            if not all(_uniform(c) for c in lines.values()):
-                return t - 1
-    return design.m
-
-
 def aberration(design: Design, alpha, counts=None) -> float:
     """Squared modulus of b_alpha over b_0^2, from level counts alone."""
     if not any(a % design.s for a in alpha):
@@ -138,18 +131,6 @@ def aberration(design: Design, alpha, counts=None) -> float:
     return total / (n * n)
 
 
-def gwlp(design: Design, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Fraction, ...]:
-    """(A_1, ..., A_m): aberrations summed by interaction order, exactly."""
-    s, m = design.s, design.m
-    if s**m > bound:
-        raise ValueError(f"GWLP enumeration size {s}^{m} exceeds bound {bound}")
-    energy = [
-        sum(_line_energy(c, s) for _, lines in _supports(design, t) for c in lines.values())
-        for t in range(1, m + 1)
-    ]
-    return tuple(Fraction(e, design.n**2) for e in energy)
-
-
 class IndicatorSummary(NamedTuple):
     """Strength, GWLP (None past the bound) and nonzero coefficients up to an order."""
 
@@ -158,23 +139,20 @@ class IndicatorSummary(NamedTuple):
     coefficients: tuple[tuple[tuple[int, ...], CycInt], ...]
 
 
-def summarize(
-    design: Design, max_order: int, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> IndicatorSummary:
-    """Strength, GWLP and nonzero coefficients of order <= max_order, in one pass.
+def _walk(design: Design, max_order: int, full: bool, to_strength: bool) -> IndicatorSummary:
+    """The one pass over the lines that every indicator quantity reads from.
 
-    Equal to ``strength_from_coefficients``, ``gwlp`` (None when s^m > bound)
-    and ``nonzero_coefficients_up_to``, with each line counted once.  The
-    pass covers every order when the GWLP is wanted, and otherwise orders up
-    to max(max_order, strength + 1).
+    Walks orders 1..max_order, listing their nonzero coefficients; every
+    order when ``full``, summing the GWLP (None otherwise); and with
+    ``to_strength`` on to the first order with a nonuniform line.  Strength
+    is t - 1 for the first such order t, or m if the walk saw none.
     """
     s, m, n = design.s, design.m, design.n
-    full = s**m <= bound
     strength = None
     energy = [0] * m
     coefficients = [((0,) * m, CycInt.integer(n, s))]
     for t in range(1, m + 1):
-        if not full and t > max_order and strength is not None:
+        if not full and t > max_order and not (to_strength and strength is None):
             break
         for positions, lines in _supports(design, t):
             if strength is None and not all(_uniform(c) for c in lines.values()):
@@ -185,11 +163,43 @@ def summarize(
                 break
             if t <= max_order:
                 coefficients.extend(_nonzero_members(s, m, positions, lines))
+    pattern = None
+    if full:
+        # imported here, not at the top: fractions loads decimal, about 0.5 MB
+        # of RSS that commands which never build a GWLP should not carry
+        from fractions import Fraction
+
+        pattern = tuple(Fraction(e, n * n) for e in energy)
     return IndicatorSummary(
         strength=m if strength is None else strength,
-        gwlp=tuple(Fraction(e, n * n) for e in energy) if full else None,
+        gwlp=pattern,
         coefficients=tuple(coefficients),
     )
+
+
+def strength_from_coefficients(design: Design) -> int:
+    """Largest t with every coefficient of order 1..t equal to zero."""
+    return _walk(design, 0, full=False, to_strength=True).strength
+
+
+def gwlp(design: Design, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Fraction, ...]:
+    """(A_1, ..., A_m): aberrations summed by interaction order, exactly."""
+    s, m = design.s, design.m
+    if s**m > bound:
+        raise ValueError(f"GWLP enumeration size {s}^{m} exceeds bound {bound}")
+    return _walk(design, 0, full=True, to_strength=False).gwlp
+
+
+def summarize(design: Design, max_order: int) -> IndicatorSummary:
+    """Strength, GWLP and nonzero coefficients of order <= max_order, in one pass.
+
+    Equal to ``strength_from_coefficients``, ``gwlp`` (None when s^m exceeds
+    the enumeration bound) and ``nonzero_coefficients_up_to``, with each
+    line counted once.  The pass covers every order when the GWLP is
+    wanted, and otherwise orders up to max(max_order, strength + 1).
+    """
+    full = design.s**design.m <= DEFAULT_ENUMERATION_BOUND
+    return _walk(design, max_order, full=full, to_strength=True)
 
 
 @dataclass(frozen=True)
@@ -237,14 +247,10 @@ class IndicatorTable:
 def nonzero_coefficients_up_to(design: Design, max_order: int):
     """(alpha, numerator) for nonzero coefficients of order <= max_order.
 
-    Streams over the bounded-order exponents only, so it works on designs
-    whose full table would exceed the enumeration bound.
+    Walks the bounded-order exponents only, so it works on designs whose
+    full table would exceed the enumeration bound.
     """
-    s, m = design.s, design.m
-    yield (0,) * m, CycInt.integer(design.n, s)
-    for t in range(1, min(max_order, m) + 1):
-        for positions, lines in _supports(design, t):
-            yield from _nonzero_members(s, m, positions, lines)
+    yield from _walk(design, max_order, full=False, to_strength=False).coefficients
 
 
 def evaluate_indicator(table: IndicatorTable, point) -> complex:

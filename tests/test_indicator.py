@@ -281,8 +281,6 @@ class TestLineCounts:
                 listed = [(a, per_alpha[a]) for a, t in zip(nonzero, orders) if t <= k]
                 assert list(nonzero_coefficients_up_to(d, k)) == listed
                 assert summarize(d, k) == (strength, gwlp(d), tuple(listed))
-                assert summarize(d, k, bound=s**m) == (strength, gwlp(d), tuple(listed))
-                assert summarize(d, k, bound=s**m - 1) == (strength, None, tuple(listed))
 
 
 class TestIndicatorTable:
