@@ -35,8 +35,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_SUPPORTED_LEVELS = frozenset(n for n in range(MAX_LEVELS + 1) if is_prime(n))
+
+
 def validate_levels(s: int) -> int:
     """Reject level counts that are not primes in [2, MAX_LEVELS]."""
+    if isinstance(s, int) and s in _SUPPORTED_LEVELS:
+        return s
     if not isinstance(s, int) or not is_prime(s):
         raise ValueError(f"number of levels must be prime, got {s!r}")
     if s > MAX_LEVELS:

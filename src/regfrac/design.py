@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .cyclotomic import validate_levels
@@ -214,8 +215,8 @@ def project(design: Design, factors: Iterable[int]) -> Counter:
     for j in factors:
         if not 1 <= j <= design.m:
             raise ValueError(f"factor {j} out of range 1..{design.m}")
-    idx = tuple(j - 1 for j in factors)
-    return Counter(tuple(row[i] for i in idx) for row in design.rows)
+    rows = design.rows
+    return Counter(zip(*(map(itemgetter(j - 1), rows) for j in factors)))
 
 
 def check_strength_combinatorial(design: Design, t: int) -> bool:

@@ -9,14 +9,14 @@ Vandermonde system; inverting that system over the roots of unity gives
 so each u_h is a cyclotomic integer divided by s.  Monomial permutations
 e -> [h*e + k] form the affine group of Z_s; it is sharply 2-transitive,
 so every permutation factors uniquely as (monomial) o (representative
-fixing 0 and 1), leaving only (s-2)! representatives to enumerate.
+fixing 0 and 1), and there are (s-2)! representatives.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .cyclotomic import CycInt, CycRational, validate_levels
 from .design import Design
@@ -112,7 +112,11 @@ def same_monomial_coset(a: LevelPerm, b: LevelPerm) -> bool:
 
 
 def coset_representatives(s: int) -> Iterator[LevelPerm]:
-    """The (s-2)! permutations fixing levels 0 and 1, one per affine coset."""
+    """The (s-2)! permutations fixing levels 0 and 1, one per affine coset.
+
+    The regularity search no longer enumerates them: it derives the one
+    representative a Latin square needs from the square itself.
+    """
     validate_levels(s)
     for tail in itertools.permutations(range(2, s)):
         yield LevelPerm(s, (0, 1) + tail)
@@ -120,13 +124,25 @@ def coset_representatives(s: int) -> Iterator[LevelPerm]:
 
 def apply_level_perm(design: Design, j: int, perm: LevelPerm) -> Design:
     """Map the levels of factor ``j`` (1-based) through ``perm``."""
-    if not 1 <= j <= design.m:
-        raise ValueError(f"factor {j} out of range 1..{design.m}")
-    if perm.s != design.s:
-        raise ValueError(f"permutation on {perm.s} levels applied to a {design.s}-level design")
-    i = j - 1
-    rows = tuple(row[:i] + (perm.image[row[i]],) + row[i + 1 :] for row in design.rows)
-    return Design(s=design.s, m=design.m, rows=rows)
+    return _relabel(design, {j: perm})
+
+
+def _relabel(design: Design, perms: Mapping[int, LevelPerm]) -> Design:
+    """The design with each factor f's levels mapped through perms[f], in one pass."""
+    moved = {}
+    for f, p in perms.items():
+        if not 1 <= f <= design.m:
+            raise ValueError(f"factor {f} out of range 1..{design.m}")
+        if p.s != design.s:
+            raise ValueError(f"permutation on {p.s} levels applied to a {design.s}-level design")
+        if not p.is_identity:
+            moved[f - 1] = p.image
+    if not moved:
+        return design
+    columns = list(zip(*design.rows))
+    for c, image in moved.items():
+        columns[c] = map(image.__getitem__, columns[c])
+    return Design(s=design.s, m=design.m, rows=tuple(zip(*columns)))
 
 
 @dataclass(frozen=True)

@@ -3,28 +3,39 @@
 For factors (i, j, k) of a strength-2 array where X_k is a function of
 (X_i, X_j), the s x s table C[a][b] = x_k is a Latin square.  The three
 factors support a generating equation, possibly after per-factor level
-permutations, exactly when some relabeling of X_k makes every 2 x 2 minor
-of the root-of-unity-valued table vanish; additively,
+permutations, exactly when some relabeling psi of X_k makes every 2 x 2
+minor of the root-of-unity-valued table vanish; additively,
 
     C[a][b] + C[a'][b'] = C[a][b'] + C[a'][b]  (mod s).
 
-Affine relabelings e -> [h*e + k] never change that criterion, so only the
-(s-2)! coset representatives need checking on X_k.  A rank-1 square splits
-as C[a][b] = c0 + r(a) + col(b) with r(0) = col(0) = 0, read off from the
-column and row whose leading entry is 0.  Each readout map factors as
-h * rep with rep fixing 0 and 1: the affine slope h is absorbed into the
-equation's exponent, the residual rep is applied to the factor, and the
-equation becomes X_i^{h_i} X_j^{h_j} X_k^{s-1} = w_{[-c0]} in the permuted
-coordinates; monomial readouts therefore need no actual permutation.
+That holds exactly when the square is isotopic to the Cayley table of Z_s
+(Albert 1943).  Its principal loop x * y = C[a][b], where x = C[a][0] and
+y = C[0][b], must then be a group of prime order, hence cyclic: walking
+the powers of any non-identity element g gives the only candidate phi
+(phi(g^n) = n), and checking phi(x * y) = phi(x) + phi(y) on all s^2 cells
+decides the square; that check also proves the loop associative.  Every
+valid psi is h * phi + c, one affine coset, so its representative fixing
+0 and 1 is unique and no enumeration of relabelings is needed.
+
+A rank-1 square splits as C[a][b] = c0 + r(a) + col(b) with r(0) =
+col(0) = 0, read off from the column and row whose leading entry is 0.
+Each readout map factors as h * rep with rep fixing 0 and 1: the affine
+slope h is absorbed into the equation's exponent, the residual rep is
+applied to the factor, and the equation becomes
+X_i^{h_i} X_j^{h_j} X_k^{s-1} = w_{[-c0]} in the permuted coordinates;
+monomial readouts therefore need no actual permutation.
 
 Equations over q >= 4 factors are found layer by layer: fixing the levels
 of the q-3 trailing factors must give rank-1 squares with identical row
 and column increments throughout, and the corner constants must split into
-one bijection of Z_s per trailing factor.
+one bijection of Z_s per trailing factor.  The relabeling of X_k comes
+from the layer where every trailing factor is at level 0; a triple is the
+case with no trailing factor, read out by the same code.
 
 Factors whose permutation an earlier accepted equation already fixed may
 not be re-permuted; for them the readout maps must come out linear
-(e -> [h*e]) so that only the exponent absorbs them.
+(e -> [h*e]) so that only the exponent absorbs them, and a committed X_k
+is tested as it stands.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .design import (
     strength_combinatorial,
 )
 from .linalg import in_row_space, row_reduce
-from .permutation import LevelPerm, apply_level_perm, coset_representatives, monomial_decompose
+from .permutation import LevelPerm, _relabel, monomial_decompose
 
 
 class StrengthError(ValueError):
@@ -171,6 +182,33 @@ def _split_readout(readout: Sequence[int], s: int) -> tuple[int, LevelPerm]:
     return h, rep
 
 
+def _cyclic_representative(rows: Sequence[Sequence[int]], s: int) -> LevelPerm | None:
+    """The relabeling fixing 0 and 1 that makes ``rows`` rank 1, or None.
+
+    None unless the table C is a Latin square isotopic to Z_s.  phi is
+    built by walking x -> x * g from the identity C[0][0], with g = C[0][1]
+    (so x * g sits in column 1 of the row that starts with x); it must hit
+    every level once and satisfy phi(C[a][b]) = phi(C[a][0]) + phi(C[0][b]).
+    """
+    top = rows[0]
+    row_of = {r[0]: r for r in rows}
+    if len(row_of) != s or len(set(top)) != s:
+        return None
+    phi = [-1] * s
+    x = top[0]
+    for power in range(s):
+        if phi[x] >= 0:
+            return None
+        phi[x] = power
+        x = row_of[x][1]
+    for r in rows:
+        shift = phi[r[0]]
+        for v, y in zip(r, top):
+            if phi[v] != (shift + phi[y]) % s:
+                return None
+    return monomial_decompose(LevelPerm(s, tuple(phi)))[2]
+
+
 def find_triple_equation(
     design: Design,
     factors: tuple[int, int, int],
@@ -178,48 +216,17 @@ def find_triple_equation(
 ):
     """Search for a generating equation on (i, j, k) with X_k dependent.
 
-    Iterates the affine-coset representatives on X_k (identity only when
-    X_k is committed); the first one whose square is rank 1 and whose
-    readouts respect the committed factors wins.  Returns
-    (perms, DefiningEquation) with ``perms`` mapping free factors to the
-    non-monomial residue of their readout; applying them to the design
-    makes X^alpha = w_c hold.  None when X_k is not a function of
-    (X_i, X_j) or no representative succeeds.
+    X_k is relabeled by the unique coset representative that makes its
+    square rank 1 (left as it is when X_k is committed), and the readouts
+    must respect the committed factors.  Returns (perms, DefiningEquation)
+    with ``perms`` mapping free factors to the non-monomial residue of
+    their readout; applying them to the design makes X^alpha = w_c hold.
+    None when X_k is not a function of (X_i, X_j) or no relabeling works.
     """
-    i, j, k = factors
-    committed = frozenset(committed)
-    square = latin_square(design, i, j, k)
+    square = latin_square(design, *factors)
     if square is None:
         return None
-    s, m = design.s, design.m
-    reps = [LevelPerm.identity(s)] if k in committed else coset_representatives(s)
-    for rep in reps:
-        candidate = square if rep.is_identity else square.permute_values(rep)
-        if not table_rank_one(candidate.rows, s):
-            continue
-        rows = candidate.rows
-        c0 = rows[0][0]
-        b0 = rows[0].index(0)
-        r_map = tuple(rows[a][b0] for a in range(s))
-        c_map = rows[next(a for a in range(s) if rows[a][0] == 0)]
-        exponents = [0] * m
-        perms: dict[int, LevelPerm] = {}
-        ok = True
-        for factor, readout in ((i, r_map), (j, c_map)):
-            h, residual = _split_readout(readout, s)
-            if factor in committed and not residual.is_identity:
-                ok = False
-                break
-            exponents[factor - 1] = h
-            if factor not in committed:
-                perms[factor] = residual
-        if not ok:
-            continue
-        exponents[k - 1] = s - 1
-        if k not in committed:
-            perms[k] = rep
-        return perms, DefiningEquation(tuple(exponents), (-c0) % s)
-    return None
+    return _read_equation(design, tuple(factors), {(): square.rows}, frozenset(committed))
 
 
 def _layer_tables(design: Design, i: int, j: int, k: int, outers: tuple[int, ...]):
@@ -266,90 +273,82 @@ def find_equation_multilayer(
     for support in known_supports:
         if set(support) <= fset:
             return None
-    work = design
     fixed_perms = dict(fixed_perms or {})
-    for f, p in fixed_perms.items():
-        if not p.is_identity:
-            work = apply_level_perm(work, f, p)
+    work = _relabel(design, fixed_perms)
     return _multilayer_search(work, factors, frozenset(fixed_perms))
 
 
 def _multilayer_search(design: Design, factors: tuple[int, ...], committed: frozenset[int]):
+    tables = _layer_tables(design, *factors[:3], factors[3:])
+    if tables is None:
+        return None
+    return _read_equation(design, factors, tables, committed)
+
+
+def _read_equation(design: Design, factors: tuple[int, ...], tables, committed: frozenset[int]):
+    """The equation on ``factors`` from their layer tables, or None.
+
+    ``tables`` maps each level combination of the outer factors (none for
+    a triple) to the table X_k(X_i, X_j); this is the one readout and
+    commit path for triples and larger tuples.
+    """
     s, m = design.s, design.m
     i, j, k = factors[0], factors[1], factors[2]
     outers = factors[3:]
-    tables = _layer_tables(design, i, j, k, outers)
-    if tables is None:
-        return None
-    reps = [LevelPerm.identity(s)] if k in committed else coset_representatives(s)
     zero = (0,) * len(outers)
+    base = tables[zero]
     # Under an equation every layer is a Latin square, whatever the value
-    # relabeling; without a bijective row 0 and column 0 nothing can be read out.
-    first = tables[zero]
-    if len(set(first[0])) != s or len({r[0] for r in first}) != s:
-        return None
-    for rep in reps:
-        layered = {
-            z: [[rep.image[v] for v in r] for r in cell] for z, cell in tables.items()
-        }
-        base = layered[zero]
-        if not table_rank_one(base, s):
-            continue
-        c0 = base[0][0]
-        b0 = base[0].index(0)
-        r_map = tuple(base[a][b0] for a in range(s))
-        c_map = tuple(base[next(a for a in range(s) if base[a][0] == 0)])
-        # every layer must share the base increments, differing by a constant
-        consistent = True
-        corners = {}
-        for z, cell in layered.items():
-            delta = (cell[0][0] - base[0][0]) % s
-            if any(
-                (cell[a][b] - base[a][b]) % s != delta for a in range(s) for b in range(s)
-            ):
-                consistent = False
-                break
-            corners[z] = cell[0][0]
-        if not consistent:
-            continue
-        # corner constants must split into one bijection per outer factor
-        outer_maps = []
-        for t in range(len(outers)):
-            g = []
-            for v in range(s):
-                z = tuple(v if u == t else 0 for u in range(len(outers)))
-                g.append((corners[z] - c0) % s)
-            if sorted(g) != list(range(s)):
-                consistent = False
-                break
-            outer_maps.append(tuple(g))
-        if not consistent:
-            continue
-        for z, corner in corners.items():
-            expect = (c0 + sum(outer_maps[t][z[t]] for t in range(len(outers)))) % s
-            if corner != expect:
-                consistent = False
-                break
-        if not consistent:
-            continue
-        exponents = [0] * m
-        perms: dict[int, LevelPerm] = {}
-        ok = True
-        for factor, readout in ((i, r_map), (j, c_map), *zip(outers, outer_maps)):
-            h, residual = _split_readout(readout, s)
-            if factor in committed and not residual.is_identity:
-                ok = False
-                break
-            exponents[factor - 1] = h
-            if factor not in committed:
-                perms[factor] = residual
-        if not ok:
-            continue
-        exponents[k - 1] = s - 1
-        if k not in committed:
-            perms[k] = rep
-        return perms, DefiningEquation(tuple(exponents), (-c0) % s)
-    return None
+    # relabeling; the relabeling comes from the zero layer alone.
+    if k in committed:
+        rep = LevelPerm.identity(s)
+        if len(set(base[0])) != s or len({r[0] for r in base}) != s or not table_rank_one(base, s):
+            return None
+    else:
+        rep = _cyclic_representative(base, s)
+        if rep is None:
+            return None
+        if not rep.is_identity:
+            image = rep.image
+            tables = {z: [[image[v] for v in r] for r in cell] for z, cell in tables.items()}
+            base = tables[zero]
+    c0 = base[0][0]
+    b0 = base[0].index(0)
+    r_map = tuple(base[a][b0] for a in range(s))
+    c_map = tuple(base[next(a for a in range(s) if base[a][0] == 0)])
+    # every layer must share the base increments, differing by a constant
+    corners = {}
+    for z, cell in tables.items():
+        delta = (cell[0][0] - c0) % s
+        if any((cell[a][b] - base[a][b]) % s != delta for a in range(s) for b in range(s)):
+            return None
+        corners[z] = cell[0][0]
+    # corner constants must split into one bijection per outer factor
+    outer_maps = []
+    for t in range(len(outers)):
+        g = []
+        for v in range(s):
+            z = tuple(v if u == t else 0 for u in range(len(outers)))
+            g.append((corners[z] - c0) % s)
+        if sorted(g) != list(range(s)):
+            return None
+        outer_maps.append(tuple(g))
+    for z, corner in corners.items():
+        expect = (c0 + sum(outer_maps[t][z[t]] for t in range(len(outers)))) % s
+        if corner != expect:
+            return None
+    exponents = [0] * m
+    perms: dict[int, LevelPerm] = {}
+    for factor, readout in ((i, r_map), (j, c_map), *zip(outers, outer_maps)):
+        h, residual = _split_readout(readout, s)
+        if factor in committed and not residual.is_identity:
+            return None
+        exponents[factor - 1] = h
+        if factor not in committed:
+            perms[factor] = residual
+    exponents[k - 1] = s - 1
+    if k not in committed:
+        perms[k] = rep
+    return perms, DefiningEquation(tuple(exponents), (-c0) % s)
 
 
 @dataclass(frozen=True)
@@ -394,10 +393,7 @@ def verify_equations(
     design: Design, perms: Sequence[LevelPerm], equations: Sequence[DefiningEquation]
 ) -> bool:
     """True iff applying the perms maps the design onto the equations' fraction."""
-    work = design
-    for f, p in enumerate(perms, start=1):
-        if not p.is_identity:
-            work = apply_level_perm(work, f, p)
+    work = _relabel(design, dict(enumerate(perms, start=1)))
     if equations:
         target = regular_fraction(design.s, design.m, list(equations))
     else:
@@ -446,10 +442,8 @@ def regularity_check(design: Design) -> RegularityReport:
         perms, eq = found
         if in_row_space(eq.exponents, basis, s):
             return False
-        for f, p in perms.items():
-            if not p.is_identity:
-                work = apply_level_perm(work, f, p)
-            committed[f] = p
+        work = _relabel(work, perms)
+        committed.update(perms)
         for f in range(1, m + 1):
             if eq.exponents[f - 1] and f not in committed:
                 committed[f] = identity

@@ -10,6 +10,8 @@ two-equation fraction of 5^5 with the levels of factors 1 and 5 scrambled.
 
 from __future__ import annotations
 
+import random
+
 from regfrac import DefiningEquation, Design, LevelPerm, apply_level_perm, regular_fraction
 
 SQUARE_CYCLIC = tuple(tuple((a + b) % 5 for b in range(5)) for a in range(5))
@@ -88,6 +90,36 @@ def nonregular_design() -> Design:
 
 def nonregular_design_7() -> Design:
     return design_from_square(SQUARE_NONREGULAR_7, 7)
+
+
+def random_latin_square(rng: random.Random, s: int) -> tuple[tuple[int, ...], ...]:
+    """A random s x s Latin square, built one row at a time.
+
+    Each new row is a perfect matching between columns and the symbols
+    their column still lacks; that bipartite graph is regular, so one
+    always exists, and augmenting paths over shuffled candidates find it.
+    """
+    rows: list[tuple[int, ...]] = []
+    for _ in range(s):
+        free = [rng.sample(sorted(set(range(s)) - {r[b] for r in rows}), s - len(rows)) for b in range(s)]
+        column_of: dict[int, int] = {}
+
+        def augment(b, seen):
+            for v in free[b]:
+                if v not in seen:
+                    seen.add(v)
+                    if v not in column_of or augment(column_of[v], seen):
+                        column_of[v] = b
+                        return True
+            return False
+
+        for b in range(s):
+            augment(b, set())
+        row = [0] * s
+        for v, b in column_of.items():
+            row[b] = v
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def latin_with_free_factor(order) -> Design:

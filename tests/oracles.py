@@ -73,3 +73,96 @@ def constant_words(points, s: int, m: int):
         if len(values) == 1:
             out[alpha] = next(iter(values))
     return out
+
+
+def _additive_rank_one(rows, s: int) -> bool:
+    return all(
+        (rows[a][b] - rows[a][0] - rows[0][b] + rows[0][0]) % s == 0
+        for a in range(len(rows))
+        for b in range(len(rows[0]))
+    )
+
+
+def brute_force_equation(design: Design, factors, committed=()):
+    """The regularity search's equation on ``factors`` by enumerating relabelings of X_k.
+
+    ``factors`` is (i, j, k, outer...).  Every relabeling of X_k fixing 0
+    and 1 is tried in lexicographic order (only the identity when k is
+    committed); the first one whose zero layer is a rank-1 Latin square,
+    whose layers share its increments, whose corner constants split into
+    one bijection per outer factor and whose readouts are linear on the
+    committed factors wins.  Returns ({factor: image}, (exponents,
+    constant)) or None.
+    """
+    s, m = design.s, design.m
+    i, j, k, *outers = factors
+    committed = set(committed)
+    tables = {}
+    for row in design.rows:
+        cell = tables.setdefault(tuple(row[t - 1] for t in outers), {})
+        if cell.setdefault((row[i - 1], row[j - 1]), row[k - 1]) != row[k - 1]:
+            return None
+    layers = list(itertools.product(range(s), repeat=len(outers)))
+    if set(tables) != set(layers) or any(len(cell) != s * s for cell in tables.values()):
+        return None
+    tables = {z: [[cell[a, b] for b in range(s)] for a in range(s)] for z, cell in tables.items()}
+    zero = (0,) * len(outers)
+    base = tables[zero]
+    if len(set(base[0])) != s or len({r[0] for r in base}) != s:
+        return None
+    reps = [tuple(range(s))] if k in committed else (
+        (0, 1) + tail for tail in itertools.permutations(range(2, s))
+    )
+    for rep in reps:
+        layered = {z: [[rep[v] for v in r] for r in t] for z, t in tables.items()}
+        base = layered[zero]
+        if not _additive_rank_one(base, s):
+            continue
+        c0 = base[0][0]
+        if any(
+            (layered[z][a][b] - base[a][b] - layered[z][0][0] + c0) % s
+            for z in layers for a in range(s) for b in range(s)
+        ):
+            continue
+        b0, a0 = base[0].index(0), [r[0] for r in base].index(0)
+        readouts = [(i, [r[b0] for r in base]), (j, base[a0])]
+        for t, f in enumerate(outers):
+            unit = tuple(int(u == t) for u in range(len(outers)))
+            readouts.append((f, [(layered[tuple(v * e for e in unit)][0][0] - c0) % s for v in range(s)]))
+        if any(sorted(g) != list(range(s)) for _, g in readouts) or any(
+            (layered[z][0][0] - c0 - sum(g[z[t]] for t, (_, g) in enumerate(readouts[2:]))) % s
+            for z in layers
+        ):
+            continue
+        exponents, perms = [0] * m, {}
+        for f, g in readouts:
+            h = g[1]
+            residual = tuple(pow(h, -1, s) * v % s for v in g)
+            if f in committed and residual != tuple(range(s)):
+                break
+            exponents[f - 1] = h
+            if f not in committed:
+                perms[f] = residual
+        else:
+            exponents[k - 1] = s - 1
+            if k not in committed:
+                perms[k] = rep
+            return perms, (tuple(exponents), -c0 % s)
+    return None
+
+
+def principal_loop_is_group(rows) -> bool:
+    """Whether the square's principal loop is associative (Albert 1943).
+
+    x * y = rows[a][b] with x = rows[a][0] and y = rows[0][b]; a square is
+    isotopic to a group table exactly when this loop is associative, and a
+    group of prime order is cyclic.
+    """
+    row_of = {r[0]: r for r in rows}
+    col_of = {y: b for b, y in enumerate(rows[0])}
+
+    def mul(x, y):
+        return row_of[x][col_of[y]]
+
+    levels = list(rows[0])
+    return all(mul(mul(x, y), z) == mul(x, mul(y, z)) for x in levels for y in levels for z in levels)

@@ -1,16 +1,18 @@
 """End-to-end command-line checks: output content, JSON schemas, exit codes."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from regfrac import parse_design, serialize_design
+from regfrac import Design, parse_design, serialize_design
 from regfrac.cli import main
 from fixtures import (
     cyclic_design,
     latin_with_free_factor,
     nonregular_design,
+    random_latin_square,
     scrambled_125_design,
     scrambled_design,
 )
@@ -130,6 +132,14 @@ class TestRegularity:
             code, out, err = run(capsys, "regularity", path, "--json")
             assert (code, err) == (1, "")
             assert json.loads(out)["regular"] is False
+
+    def test_thirteen_level_non_cyclic_square_with_free_factor_exit_one(self, design_file, capsys):
+        square = random_latin_square(random.Random(13), 13)
+        rows = tuple((a, b, square[a][b], f) for a in range(13) for b in range(13) for f in range(13))
+        path = design_file(Design(s=13, m=4, rows=rows), "free13.txt")
+        code, out, err = run(capsys, "regularity", path, "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["regular"] is False
 
     def test_non_orthogonal_exit_four(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: canonical form, ring laws, numeric agreement."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,14 @@ from hypothesis import strategies as st
 
 from regfrac import CycInt, CycRational, root
 from regfrac.cyclotomic import validate_levels
+
+
+def _accepts(s) -> bool:
+    try:
+        validate_levels(s)
+    except ValueError:
+        return False
+    return True
 
 
 def cyc(s, entries):
@@ -49,6 +58,16 @@ class TestCycInt:
                 validate_levels(s)
         with pytest.raises(ValueError):
             CycInt(4, (0, 0, 0, 0))
+
+    def test_level_validation_messages(self):
+        assert [s for s in range(-5, 120) if _accepts(s)] == [
+            p for p in range(2, 98) if all(p % f for f in range(2, p))
+        ]
+        for bad in (0, 1, 9, 91, True, 5.0, "5", None, [5]):
+            with pytest.raises(ValueError, match=r"must be prime, got " + re.escape(repr(bad))):
+                validate_levels(bad)
+        with pytest.raises(ValueError, match="101 exceeds supported maximum 97"):
+            validate_levels(101)
 
     def test_is_zero_on_constant_vectors(self):
         assert cyc(5, (1, 1, 1, 1, 1)).is_zero()

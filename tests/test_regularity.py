@@ -1,6 +1,7 @@
 """Latin squares, the rank-1 criterion, and the full regularity decision."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -33,15 +34,22 @@ from fixtures import (
     SQUARE_125_TRIPLE,
     SQUARE_CYCLIC,
     SQUARE_NONREGULAR,
+    SQUARE_NONREGULAR_7,
     SQUARE_SCRAMBLED_RANK1,
     cyclic_design,
+    design_from_square,
     latin_with_free_factor,
     nonregular_design,
     nonregular_design_7,
+    random_latin_square,
     scrambled_125_design,
     scrambled_design,
 )
-from oracles import float_table_rank_one
+from oracles import (
+    brute_force_equation,
+    float_table_rank_one,
+    principal_loop_is_group,
+)
 
 
 class TestLatinSquare:
@@ -396,3 +404,152 @@ class TestRecoveryProperties:
             scaled.append(row)
         recovered = [list(eq.exponents) for eq in report.equations]
         assert same_row_space(scaled, recovered, 5)
+
+
+def _random_level_map(rng, s):
+    """A uniformly random bijection of Z_s, or half the time a random affine one."""
+    if rng.random() < 0.5:
+        return tuple(rng.sample(range(s), s))
+    return monomial_perm(rng.randrange(1, s), rng.randrange(s), s).image
+
+
+def _isotope(rng, square, s):
+    rows, cols, vals = (_random_level_map(rng, s) for _ in range(3))
+    return tuple(tuple(vals[square[rows[a]][cols[b]]] for b in range(s)) for a in range(s))
+
+
+def _plain(found):
+    if found is None:
+        return None
+    perms, eq = found
+    return {f: p.image for f, p in perms.items()}, (eq.exponents, eq.constant)
+
+
+def _random_committed(rng, factors):
+    return frozenset(f for f in factors if rng.random() < 0.3)
+
+
+def _cyclic_square(s):
+    return tuple(tuple((a + b) % s for b in range(s)) for a in range(s))
+
+
+class TestIsotopyAgainstEnumeration:
+    """The isotopy decision returns what enumerating coset representatives found first."""
+
+    SQUARES = [(3, _cyclic_square(3)), (5, _cyclic_square(5)), (7, _cyclic_square(7)),
+               (5, SQUARE_NONREGULAR), (7, SQUARE_NONREGULAR_7)]
+
+    @pytest.mark.parametrize("s,square", SQUARES, ids=["Z3", "Z5", "Z7", "nonZ5", "nonZ7"])
+    def test_triples(self, s, square):
+        rng = random.Random(repr(square))
+        hits = 0
+        for _ in range(30):
+            design = design_from_square(_isotope(rng, square, s), s)
+            for factors in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
+                for committed in (frozenset(), _random_committed(rng, (1, 2, 3))):
+                    expected = brute_force_equation(design, factors, committed)
+                    got = _plain(find_triple_equation(design, factors, committed))
+                    assert got == expected, (factors, committed)
+                    hits += got is not None
+        assert hits > 0 if square == _cyclic_square(s) else hits == 0
+
+    @pytest.mark.parametrize("s", [5, 7, 11, 13])
+    def test_random_latin_squares_match_the_associativity_test(self, s):
+        rng = random.Random(6000 + s)
+        for _ in range(20):
+            square = random_latin_square(rng, s)
+            found = find_triple_equation(design_from_square(square, s), (1, 2, 3))
+            assert (found is not None) == principal_loop_is_group(square)
+
+    @pytest.mark.parametrize("s", [5, 7])
+    def test_random_latin_square_triples(self, s):
+        rng = random.Random(7000 + s)
+        for _ in range(20):
+            design = design_from_square(random_latin_square(rng, s), s)
+            for factors in ((1, 2, 3), (2, 3, 1)):
+                committed = _random_committed(rng, (1, 2, 3))
+                expected = brute_force_equation(design, factors, committed)
+                assert _plain(find_triple_equation(design, factors, committed)) == expected
+
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_four_factor_words(self, s):
+        rng = random.Random(4000 + s)
+        hits = 0
+        for _ in range(12):
+            word = tuple(rng.randrange(1, s) for _ in range(4))
+            design = regular_fraction(s, 4, [DefiningEquation(word, rng.randrange(s))])
+            for f in range(1, 5):
+                design = apply_level_perm(design, f, LevelPerm(s, _random_level_map(rng, s)))
+            for k in range(1, 5):
+                rest = [f for f in range(1, 5) if f != k]
+                factors = (rest[0], rest[1], k, rest[2])
+                fixed = {f: LevelPerm(s, _random_level_map(rng, s)) if rng.random() < 0.5
+                         else LevelPerm.identity(s) for f in _random_committed(rng, factors)}
+                work = design
+                for f, p in fixed.items():
+                    work = apply_level_perm(work, f, p)
+                expected = brute_force_equation(work, factors, fixed)
+                got = _plain(find_equation_multilayer(design, factors, fixed_perms=fixed))
+                assert got == expected, (factors, fixed)
+                hits += got is not None
+        assert hits > 0
+
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_independent_and_shifted_layers(self, s):
+        # layer z of X_3(X_1, X_2) is an independent isotope of Z_s, or one
+        # fixed isotope shifted by c(z) for a bijective or arbitrary c
+        rng = random.Random(5000 + s)
+        for trial in range(24):
+            base = _isotope(rng, _cyclic_square(s), s)
+            if trial % 3 == 0:
+                layers = [_isotope(rng, _cyclic_square(s), s) for _ in range(s)]
+            else:
+                shift = _random_level_map(rng, s) if trial % 3 == 1 else [rng.randrange(s) for _ in range(s)]
+                layers = [tuple(tuple((v + shift[z]) % s for v in r) for r in base) for z in range(s)]
+            rows = tuple((a, b, layers[z][a][b], z) for z in range(s) for a in range(s) for b in range(s))
+            design = Design(s=s, m=4, rows=rows)
+            committed = _random_committed(rng, (1, 2, 3, 4))
+            fixed = {f: LevelPerm.identity(s) for f in committed}
+            expected = brute_force_equation(design, (1, 2, 3, 4), committed)
+            assert _plain(find_equation_multilayer(design, (1, 2, 3, 4), fixed_perms=fixed)) == expected
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 1, 3, 2), (0, 3, 1, 2), (3, 0, 1, 2)])
+    def test_free_factor_beside_non_cyclic_square(self, order):
+        d = latin_with_free_factor(order)
+        for k in range(1, 5):
+            rest = [f for f in range(1, 5) if f != k]
+            for factors in ((rest[0], rest[1], k, rest[2]), (rest[1], rest[2], k, rest[0])):
+                assert brute_force_equation(d, factors) is None
+                assert find_equation_multilayer(d, factors) is None
+
+
+def _scrambled_triple(s, seed):
+    rng = random.Random(seed)
+    d = regular_fraction(s, 3, [DefiningEquation((rng.randrange(1, s), rng.randrange(1, s), 1), rng.randrange(s))])
+    for f in range(1, 4):
+        d = apply_level_perm(d, f, LevelPerm(s, tuple(rng.sample(range(s), s))))
+    return d
+
+
+class TestLargeLevels:
+    """Level counts whose (s-2)! relabelings could never be enumerated."""
+
+    @pytest.mark.parametrize("s", [13, 31])
+    def test_scrambled_triple_is_recovered_quickly(self, s):
+        d = _scrambled_triple(s, 600 + s)
+        start = time.perf_counter()
+        report = regularity_check(d)
+        elapsed = time.perf_counter() - start
+        assert report.regular and len(report.equations) == 1
+        assert verify_equations(d, report.perms, report.equations)
+        assert elapsed < 2.0
+
+    def test_non_cyclic_square_with_free_factor(self):
+        s = 13
+        square = random_latin_square(random.Random(13), s)
+        assert not principal_loop_is_group(square)
+        rows = tuple((a, b, square[a][b], f) for a in range(s) for b in range(s) for f in range(s))
+        start = time.perf_counter()
+        report = regularity_check(Design(s=s, m=4, rows=rows))
+        assert not report.regular and report.strength == 2
+        assert time.perf_counter() - start < 2.0
