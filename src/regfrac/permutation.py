@@ -124,24 +124,29 @@ def coset_representatives(s: int) -> Iterator[LevelPerm]:
 
 def apply_level_perm(design: Design, j: int, perm: LevelPerm) -> Design:
     """Map the levels of factor ``j`` (1-based) through ``perm``."""
+    if not 1 <= j <= design.m:
+        raise ValueError(f"factor {j} out of range 1..{design.m}")
+    if perm.s != design.s:
+        raise ValueError(f"permutation on {perm.s} levels applied to a {design.s}-level design")
     return _relabel(design, {j: perm})
 
 
 def _relabel(design: Design, perms: Mapping[int, LevelPerm]) -> Design:
-    """The design with each factor f's levels mapped through perms[f], in one pass."""
-    moved = {}
-    for f, p in perms.items():
+    """The design with each factor f's levels mapped through perms[f], in one pass.
+
+    Identity permutations are skipped unchecked, whatever their factor or
+    level count; only the ones that move levels must fit the design.
+    """
+    moved = {f: p for f, p in perms.items() if not p.is_identity}
+    if not moved:
+        return design
+    columns = list(zip(*design.rows))
+    for f, p in moved.items():
         if not 1 <= f <= design.m:
             raise ValueError(f"factor {f} out of range 1..{design.m}")
         if p.s != design.s:
             raise ValueError(f"permutation on {p.s} levels applied to a {design.s}-level design")
-        if not p.is_identity:
-            moved[f - 1] = p.image
-    if not moved:
-        return design
-    columns = list(zip(*design.rows))
-    for c, image in moved.items():
-        columns[c] = map(image.__getitem__, columns[c])
+        columns[f - 1] = map(p.image.__getitem__, columns[f - 1])
     return Design(s=design.s, m=design.m, rows=tuple(zip(*columns)))
 
 

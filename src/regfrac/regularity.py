@@ -298,19 +298,15 @@ def _read_equation(design: Design, factors: tuple[int, ...], tables, committed: 
     zero = (0,) * len(outers)
     base = tables[zero]
     # Under an equation every layer is a Latin square, whatever the value
-    # relabeling; the relabeling comes from the zero layer alone.
-    if k in committed:
-        rep = LevelPerm.identity(s)
-        if len(set(base[0])) != s or len({r[0] for r in base}) != s or not table_rank_one(base, s):
-            return None
-    else:
-        rep = _cyclic_representative(base, s)
-        if rep is None:
-            return None
-        if not rep.is_identity:
-            image = rep.image
-            tables = {z: [[image[v] for v in r] for r in cell] for z, cell in tables.items()}
-            base = tables[zero]
+    # relabeling; the relabeling comes from the zero layer alone.  A
+    # committed X_k must already be rank 1, i.e. need the identity.
+    rep = _cyclic_representative(base, s)
+    if rep is None or (k in committed and not rep.is_identity):
+        return None
+    if not rep.is_identity:
+        image = rep.image
+        tables = {z: [[image[v] for v in r] for r in cell] for z, cell in tables.items()}
+        base = tables[zero]
     c0 = base[0][0]
     b0 = base[0].index(0)
     r_map = tuple(base[a][b0] for a in range(s))

@@ -279,6 +279,15 @@ class TestRegularityCheck:
         wrong = (DefiningEquation((1, 1, 4), 1),)
         assert not verify_equations(d, report.perms, wrong)
 
+    def test_verify_equations_skips_identity_perms_unchecked(self):
+        # an identity may be built for another level count, as it always could
+        d = cyclic_design()
+        report = regularity_check(d)
+        perms = report.perms[:2] + (LevelPerm.identity(7),)
+        assert verify_equations(d, perms, report.equations)
+        with pytest.raises(ValueError, match="permutation on 7 levels"):
+            verify_equations(d, perms[:2] + (LevelPerm(7, (1, 0, 2, 3, 4, 5, 6)),), report.equations)
+
     def test_full_factorial_is_regular_with_no_equations(self):
         report = regularity_check(full_factorial(5, 3))
         assert report.regular and report.equations == ()
@@ -455,11 +464,20 @@ class TestIsotopyAgainstEnumeration:
 
     @pytest.mark.parametrize("s", [5, 7, 11, 13])
     def test_random_latin_squares_match_the_associativity_test(self, s):
+        # random squares of these orders are almost never isotopic to Z_s,
+        # so every other square is a random isotope of Z_s
         rng = random.Random(6000 + s)
-        for _ in range(20):
-            square = random_latin_square(rng, s)
+        groups = 0
+        for trial in range(20):
+            if trial % 2:
+                square = _isotope(rng, _cyclic_square(s), s)
+            else:
+                square = random_latin_square(rng, s)
+            is_group = principal_loop_is_group(square)
             found = find_triple_equation(design_from_square(square, s), (1, 2, 3))
-            assert (found is not None) == principal_loop_is_group(square)
+            assert (found is not None) == is_group
+            groups += is_group
+        assert 10 <= groups < 20
 
     @pytest.mark.parametrize("s", [5, 7])
     def test_random_latin_square_triples(self, s):
