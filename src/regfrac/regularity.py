@@ -35,7 +35,8 @@ case with no trailing factor, read out by the same code.
 Factors whose permutation an earlier accepted equation already fixed may
 not be re-permuted; for them the readout maps must come out linear
 (e -> [h*e]) so that only the exponent absorbs them, and a committed X_k
-is tested as it stands.
+is accepted only when its derived relabeling phi is monomial, i.e. its
+representative is the identity and the square is rank 1 as it stands.
 """
 
 from __future__ import annotations
