@@ -12,6 +12,7 @@ strength 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ EXIT_NOT_OA = 4
 
 
 def _load_design(path: str) -> Design:
-    return parse_design(Path(path).read_text(encoding="utf-8"))
+    return parse_design(Path(path).read_bytes())
 
 
 def _parse_equation(text: str, m: int) -> DefiningEquation:
@@ -159,7 +160,9 @@ def _cmd_perm_poly(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="regfrac",
         description="Analyze prime-level fractional factorial designs.",

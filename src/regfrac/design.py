@@ -100,7 +100,10 @@ class DefiningEquation:
 
 def parse_design(text: str | bytes) -> Design:
     if isinstance(text, (bytes, bytearray)):
-        text = bytes(text).decode("utf-8")
+        try:
+            text = bytes(text).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     header = None
     rows: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}

@@ -54,9 +54,5 @@ def reduce_against(row: Sequence[int], basis: Iterable[Sequence[int]], s: int) -
     return row
 
 
-def in_row_space(row: Sequence[int], basis: Iterable[Sequence[int]], s: int) -> bool:
-    return _pivot(reduce_against(row, basis, s)) is None
-
-
 def same_row_space(rows_a: Iterable[Sequence[int]], rows_b: Iterable[Sequence[int]], s: int) -> bool:
     return row_reduce(rows_a, s) == row_reduce(rows_b, s)

@@ -1,10 +1,20 @@
 """Deciding whether a strength-2 orthogonal array hides a regular fraction.
 
-For factors (i, j, k) of a strength-2 array where X_k is a function of
-(X_i, X_j), the s x s table C[a][b] = x_k is a Latin square.  The three
-factors support a generating equation, possibly after per-factor level
-permutations, exactly when some relabeling psi of X_k makes every 2 x 2
-minor of the root-of-unity-valued table vanish; additively,
+Level permutations do not change how many distinct runs a projection
+has, so the decision starts from an information set I: factors join it
+in order when they multiply that number by s.  In a regular fraction
+every other factor X_k is an affine function of its support S_k, the
+factors of I whose level, the others held fixed, changes X_k; any growth
+other than 1 or s already proves the design is not regular.  Each such
+X_k then gives one equation on S_k and k, with X_k dependent and an
+exponent of its own that no other equation uses, so the r equations are
+independent by construction and each is decided once.
+
+For factors (i, j, k) where X_k is a function of (X_i, X_j), the s x s
+table C[a][b] = x_k is a Latin square.  The three factors support a
+generating equation, possibly after per-factor level permutations,
+exactly when some relabeling psi of X_k makes every 2 x 2 minor of the
+root-of-unity-valued table vanish; additively,
 
     C[a][b] + C[a'][b'] = C[a][b'] + C[a'][b]  (mod s).
 
@@ -37,6 +47,9 @@ not be re-permuted; for them the readout maps must come out linear
 (e -> [h*e]) so that only the exponent absorbs them, and a committed X_k
 is accepted only when its derived relabeling phi is monomial, i.e. its
 representative is the identity and the square is rank 1 as it stands.
+Since every relabeling is forced up to an affine map, a committed factor
+loses nothing, and an equation that fails to read out proves the design
+is not regular.
 """
 
 from __future__ import annotations
@@ -53,7 +66,6 @@ from .design import (
     regular_fraction,
     strength_combinatorial,
 )
-from .linalg import in_row_space, row_reduce
 from .permutation import LevelPerm, _relabel, monomial_decompose
 
 
@@ -350,7 +362,15 @@ def _read_equation(design: Design, factors: tuple[int, ...], tables, committed: 
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Outcome of the regularity decision for one design."""
+    """Outcome of the regularity decision for one design.
+
+    ``perms`` has one permutation per factor, identities when the design is
+    not regular; ``equations`` has one generator per factor outside the
+    information set, with exponent s - 1 on that factor.
+    ``tuples_examined`` counts the dependent-column squares decided: all r
+    of them for a regular design, up to and including the first failure
+    otherwise, and 0 when the projection counts already decide.
+    """
 
     regular: bool
     strength: int
@@ -371,21 +391,6 @@ class RegularityReport:
         }
 
 
-def _ordered_triples(m: int):
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in range(1, m + 1):
-                if k != i and k != j:
-                    yield (i, j, k)
-
-
-def _role_orderings(combo: tuple[int, ...]):
-    """One ordering per dependent-factor choice; inner/outer split is immaterial."""
-    for k in combo:
-        rest = [f for f in combo if f != k]
-        yield (rest[0], rest[1], k, *rest[2:])
-
-
 def verify_equations(
     design: Design, perms: Sequence[LevelPerm], equations: Sequence[DefiningEquation]
 ) -> bool:
@@ -398,87 +403,62 @@ def verify_equations(
     return work.point_set() == target.point_set()
 
 
+def _support(design: Design, basis: Sequence[int], k: int) -> list[int]:
+    """Factors of the information set whose level, the others held fixed, changes X_k.
+
+    The design projects onto ``basis`` as a full factorial, so X_k ignores
+    factor t exactly when X_k and the rest of the basis take only
+    s^(|basis| - 1) distinct values together.
+    """
+    rest = design.s ** (len(basis) - 1)
+    return [t for t in basis if len(project(design, (*(u for u in basis if u != t), k))) > rest]
+
+
 def regularity_check(design: Design) -> RegularityReport:
     """Decide regularity under level permutations, recovering the witnesses.
 
-    Requires a strength-2 orthogonal array.  Triples are searched in
-    lexicographic (i, j, k) order with k dependent, then larger tuples with
-    support pruning; accepted equations fix their factors' permutations and
-    must be linearly independent of the ones already found.  Scanning
-    repeats until a full pass commits nothing; commits only ever restrict
-    later readouts, so the repetition is cheap insurance against order
-    effects and terminates after at most one empty pass.
+    Requires a strength-2 orthogonal array.  Factors join the information
+    set I in order when they multiply the number of distinct projected runs
+    by s; a growth other than 1 or s proves the design is not regular.
+    Each factor k outside I is a function of its support S_k in I, and the
+    one equation on S_k and k, with X_k dependent, is decided once; a
+    failure proves the design is not regular, since every relabeling is
+    forced up to an affine map.  ``tuples_examined`` counts the dependent
+    columns decided.
     """
-    s, m, n = design.s, design.m, design.n
+    s, m = design.s, design.m
     strength = strength_combinatorial(design)
     if strength < 2:
         raise StrengthError("not an orthogonal array of strength 2")
-
-    examined = 0
     identity = LevelPerm.identity(s)
 
-    total = s**m
-    if total % n:
-        return RegularityReport(False, strength, (identity,) * m, (), examined)
-    ratio, r = total // n, 0
-    while ratio % s == 0:
-        ratio //= s
-        r += 1
-    if ratio != 1:
-        return RegularityReport(False, strength, (identity,) * m, (), examined)
-    if r == 0:
-        return RegularityReport(True, strength, (identity,) * m, (), examined)
+    basis: list[int] = []
+    dependent: list[int] = []
+    for f in range(1, m + 1):
+        grown = len(project(design, (*basis, f)))
+        if grown == s ** (len(basis) + 1):
+            basis.append(f)
+        elif grown == s ** len(basis):
+            dependent.append(f)
+        else:
+            return RegularityReport(False, strength, (identity,) * m, (), 0)
 
     work = design
     committed: dict[int, LevelPerm] = {}
     equations: list[DefiningEquation] = []
-    basis: list[list[int]] = []
-
-    def try_commit(found) -> bool:
-        nonlocal work
+    for k in dependent:
+        # strength 2 gives every support at least two factors
+        support = _support(design, basis, k)
+        found = _multilayer_search(work, (support[0], support[1], k, *support[2:]), frozenset(committed))
+        if found is None:
+            return RegularityReport(False, strength, (identity,) * m, (), len(equations) + 1)
         perms, eq = found
-        if in_row_space(eq.exponents, basis, s):
-            return False
         work = _relabel(work, perms)
         committed.update(perms)
-        for f in range(1, m + 1):
-            if eq.exponents[f - 1] and f not in committed:
-                committed[f] = identity
-        basis[:] = row_reduce(basis + [list(eq.exponents)], s)
         equations.append(eq)
-        return True
-
-    progress = True
-    while progress and len(equations) < r:
-        progress = False
-        for triple in _ordered_triples(m):
-            if len(equations) == r:
-                break
-            examined += 1
-            found = find_triple_equation(work, triple, committed=committed)
-            if found is not None and try_commit(found):
-                progress = True
-        for q in range(4, m + 1):
-            if len(equations) == r:
-                break
-            supports = [frozenset(f for f in range(1, m + 1) if eq.exponents[f - 1]) for eq in equations]
-            for combo in itertools.combinations(range(1, m + 1), q):
-                if len(equations) == r:
-                    break
-                if any(sup <= set(combo) for sup in supports):
-                    continue
-                for ordering in _role_orderings(combo):
-                    examined += 1
-                    found = _multilayer_search(work, ordering, frozenset(committed))
-                    if found is not None and try_commit(found):
-                        progress = True
-                        break
-
-    if len(equations) < r:
-        return RegularityReport(False, strength, (identity,) * m, (), examined)
 
     final_perms = tuple(committed.get(f, identity) for f in range(1, m + 1))
-    report = RegularityReport(True, strength, final_perms, tuple(equations), examined)
+    report = RegularityReport(True, strength, final_perms, tuple(equations), len(equations))
     if not verify_equations(design, report.perms, report.equations):
         raise AssertionError("regularity witness failed verification")
     return report

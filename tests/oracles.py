@@ -3,7 +3,10 @@
 These deliberately avoid the code paths they are used to check: indicator
 coefficients come from raw complex sums over the runs, the rank-1 test
 from numeric 2x2 minors of the root-of-unity table, and small regular
-fractions from direct congruence enumeration.
+fractions from direct congruence enumeration.  ``tuple_search_regularity``
+is the regularity decision as it stood before the information-set pass: a
+scan over every triple and every larger tuple, built only from the public
+single-equation searches.
 """
 
 from __future__ import annotations
@@ -11,7 +14,14 @@ from __future__ import annotations
 import cmath
 import itertools
 
-from regfrac import Design
+from regfrac import (
+    Design,
+    LevelPerm,
+    apply_level_perm,
+    find_equation_multilayer,
+    find_triple_equation,
+)
+from regfrac.linalg import reduce_against, row_reduce
 
 
 def omega(k: int, s: int) -> complex:
@@ -166,3 +176,67 @@ def principal_loop_is_group(rows) -> bool:
 
     levels = list(rows[0])
     return all(mul(mul(x, y), z) == mul(x, mul(y, z)) for x in levels for y in levels for z in levels)
+
+
+def tuple_search_regularity(design: Design):
+    """Regularity by scanning tuples until r independent equations commit.
+
+    Requires strength 2.  Triples (i, j, k) are tried in lexicographic order
+    with k dependent, then every q-subset (q >= 4) not containing the
+    support of an equation already found, once per choice of dependent
+    factor.  An equation commits when it is independent of the earlier ones;
+    its permutations are applied and its factors may not be re-permuted.
+    Passes repeat until one commits nothing.  Returns (perms, equations)
+    with one permutation per factor, or None when the design is not regular.
+    """
+    s, m, n = design.s, design.m, design.n
+    if s**m % n:
+        return None
+    ratio, r = s**m // n, 0
+    while ratio % s == 0:
+        ratio //= s
+        r += 1
+    if ratio != 1:
+        return None
+    identity = LevelPerm.identity(s)
+    work, committed, equations, basis = design, {}, [], []
+
+    def commit(found) -> bool:
+        nonlocal work, basis
+        perms, eq = found
+        if not any(reduce_against(eq.exponents, basis, s)):
+            return False
+        for f, perm in perms.items():
+            work = apply_level_perm(work, f, perm)
+        committed.update(perms)
+        for f in range(1, m + 1):
+            if eq.exponents[f - 1] and f not in committed:
+                committed[f] = identity
+        basis = row_reduce(basis + [list(eq.exponents)], s)
+        equations.append(eq)
+        return True
+
+    progress = True
+    while progress and len(equations) < r:
+        progress = False
+        for i, j in itertools.combinations(range(1, m + 1), 2):
+            for k in range(1, m + 1):
+                if k not in (i, j) and len(equations) < r:
+                    found = find_triple_equation(work, (i, j, k), committed=committed)
+                    progress |= found is not None and commit(found)
+        for q in range(4, m + 1):
+            supports = [frozenset(f for f in range(1, m + 1) if eq.exponents[f - 1]) for eq in equations]
+            for combo in itertools.combinations(range(1, m + 1), q):
+                if len(equations) == r:
+                    break
+                for k in combo:
+                    rest = [f for f in combo if f != k]
+                    found = find_equation_multilayer(
+                        design, (rest[0], rest[1], k, *rest[2:]), committed, supports
+                    )
+                    if found is not None and commit(found):
+                        progress = True
+                        break
+    if len(equations) < r:
+        return None
+    return tuple(committed.get(f, identity) for f in range(1, m + 1)), tuple(equations)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from regfrac import Design, parse_design, serialize_design
-from regfrac.cli import main
+from regfrac.cli import build_parser, main
 from fixtures import (
     cyclic_design,
     latin_with_free_factor,
@@ -110,6 +110,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/nonexistent/design.txt")
         assert code == 3
         assert "error" in err
+
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 3
+        assert "not UTF-8" in err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestRegularity:

@@ -28,6 +28,14 @@ FRACTION_25_TEXT = "25 3 5\n" + "\n".join(
 ) + "\n"
 
 
+# short lines of tokens that are mostly small levels, so fuzzing reaches
+# the header, row and run-count checks
+_DESIGNISH_TEXT = st.lists(
+    st.lists(st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "x", "#", "\t"]), max_size=4).map(" ".join),
+    max_size=8,
+).map("\n".join)
+
+
 class TestParsing:
     def test_parse_accepts_well_formed_file(self):
         d = parse_design(FRACTION_25_TEXT)
@@ -79,6 +87,19 @@ class TestParsing:
             assert exc.line == 3
         else:
             pytest.fail("expected ParseError")
+
+    def test_undecodable_bytes(self):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_design(b"\xff\xfe")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=120), st.text(max_size=120), _DESIGNISH_TEXT))
+    def test_fuzzed_input_gives_a_design_or_a_parse_error(self, raw):
+        try:
+            design = parse_design(raw)
+        except ParseError:
+            return
+        assert isinstance(design, Design)
 
     def test_serialize_is_sorted_and_newline_terminated(self):
         d = Design(s=2, m=2, rows=((1, 1), (0, 0)))

@@ -1,5 +1,6 @@
 """Latin squares, the rank-1 criterion, and the full regularity decision."""
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -49,6 +50,7 @@ from oracles import (
     brute_force_equation,
     float_table_rank_one,
     principal_loop_is_group,
+    tuple_search_regularity,
 )
 
 
@@ -248,7 +250,7 @@ class TestRegularityCheck:
         report = regularity_check(nonregular_design())
         assert not report.regular
         assert report.equations == ()
-        assert report.tuples_examined >= 3
+        assert report.tuples_examined == 1
 
     def test_seven_level_counterexample(self):
         d = nonregular_design_7()
@@ -571,3 +573,137 @@ class TestLargeLevels:
         report = regularity_check(Design(s=s, m=4, rows=rows))
         assert not report.regular and report.strength == 2
         assert time.perf_counter() - start < 2.0
+
+
+def _latin_design_with_affine_columns(rng, s, square, extras):
+    """x1, x2, square(x1, x2), a free x4 and columns x4 + a x1 + b x2, all scrambled.
+
+    The columns are shuffled, so the information set is not always the
+    first factors.
+    """
+    words = rng.sample([w for w in itertools.product(range(s), repeat=2) if any(w)], extras)
+    runs = [
+        (x1, x2, square[x1][x2], x4, *((x4 + a * x1 + b * x2) % s for a, b in words))
+        for x1 in range(s) for x2 in range(s) for x4 in range(s)
+    ]
+    order = rng.sample(range(len(runs[0])), len(runs[0]))
+    maps = [_random_level_map(rng, s) for _ in order]
+    rows = tuple(tuple(maps[c][run[c]] for c in order) for run in runs)
+    return Design(s=s, m=len(order), rows=rows)
+
+
+class TestInformationSetAgainstTupleSearch:
+    """One pass over an information set decides what the tuple scan decided."""
+
+    @staticmethod
+    def _agree(design):
+        expected = tuple_search_regularity(design)
+        report = regularity_check(design)
+        assert report.regular == (expected is not None)
+        if expected is None:
+            assert report.equations == () and all(p.is_identity for p in report.perms)
+            return False
+        perms, equations = expected
+        assert report.perms == perms
+        assert same_row_space([e.exponents for e in report.equations], [e.exponents for e in equations], design.s)
+        assert verify_equations(design, report.perms, report.equations)
+        assert verify_equations(design, perms, equations)
+        return True
+
+    @pytest.mark.parametrize(
+        "s,m,r", [(2, 5, 2), (2, 6, 3), (3, 4, 2), (3, 5, 2), (5, 4, 2), (5, 5, 2), (7, 4, 2)]
+    )
+    def test_scrambled_regular_fractions(self, s, m, r):
+        rng = random.Random(8000 + 100 * s + 10 * m + r)
+        for _ in range(6):
+            _, _, d = random_regular_design(rng, s, m, r)
+            assert self._agree(d)
+
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_latin_square_designs_with_affine_columns(self, s):
+        rng = random.Random(9000 + s)
+        verdicts = []
+        for trial in range(8):
+            if trial % 2:
+                square = _isotope(rng, _cyclic_square(s), s)
+            else:
+                square = random_latin_square(rng, s)
+            d = _latin_design_with_affine_columns(rng, s, square, 1 + trial % 2)
+            verdicts.append(self._agree(d))
+        assert any(verdicts) and (s == 3 or not all(verdicts))
+
+
+def _reduced_latin_squares(s):
+    """Every s x s Latin square whose first row and column are 0, ..., s-1."""
+    def extend(rows):
+        if len(rows) == s:
+            yield tuple(rows)
+            return
+        a = len(rows)
+        for tail in itertools.permutations([v for v in range(s) if v != a]):
+            row = (a, *tail)
+            if all(row[b] != r[b] for r in rows for b in range(1, s)):
+                yield from extend(rows + [row])
+
+    yield from extend([tuple(range(s))])
+
+
+def _wide_nonregular_design(m):
+    """x1, x2, x3, SQUARE_NONREGULAR(x1, x2) and m - 4 columns x3 + a x1 + b x2."""
+    words = [w for w in itertools.product(range(5), repeat=2) if any(w)][: m - 4]
+    rows = tuple(
+        (x1, x2, x3, SQUARE_NONREGULAR[x1][x2], *((x3 + a * x1 + b * x2) % 5 for a, b in words))
+        for x1 in range(5) for x2 in range(5) for x3 in range(5)
+    )
+    return Design(s=5, m=m, rows=rows)
+
+
+class TestInformationSetDecision:
+    def test_reduced_latin_squares_of_order_five(self):
+        squares = list(_reduced_latin_squares(5))
+        assert len(squares) == 56
+        regular = 0
+        for square in squares:
+            d = design_from_square(square, 5)
+            report = regularity_check(d)
+            if report.regular:
+                regular += 1
+                assert verify_equations(d, report.perms, report.equations)
+        assert regular == 6  # (5 - 2)! reduced isotopes of Z_5
+
+    def test_projection_counts_decide_without_a_square(self):
+        # the third factor of two parallel 25-run fractions doubles the runs
+        rows = tuple((a, b, (a + b + c) % 5) for a in range(5) for b in range(5) for c in (0, 2))
+        report = regularity_check(Design(s=5, m=3, rows=rows))
+        assert not report.regular and report.tuples_examined == 0
+        assert regularity_check(full_factorial(3, 3)).tuples_examined == 0
+
+    @pytest.mark.parametrize("m", [13, 28])
+    def test_wide_nonregular_designs_decide_at_the_first_square(self, m):
+        d = _wide_nonregular_design(m)
+        start = time.perf_counter()
+        report = regularity_check(d)
+        elapsed = time.perf_counter() - start
+        assert not report.regular and report.strength == 2
+        assert report.tuples_examined == 1
+        assert elapsed < 1.0
+
+    def test_scrambled_projective_plane_fraction(self):
+        # the 31 points of PG(2, 5) as columns: a 5^(31-28) fraction
+        points = [p for p in itertools.product(range(5), repeat=3) if any(p) and p[next(i for i, v in enumerate(p) if v)] == 1]
+        rng = random.Random(31)
+        maps = [_random_level_map(rng, 5) for _ in points]
+        rows = tuple(
+            tuple(g[sum(c * v for c, v in zip(p, x)) % 5] for p, g in zip(points, maps))
+            for x in itertools.product(range(5), repeat=3)
+        )
+        d = Design(s=5, m=31, rows=rows)
+        report = regularity_check(d)
+        assert report.regular and len(report.equations) == 28
+        assert report.tuples_examined == 28
+        assert verify_equations(d, report.perms, report.equations)
+        work = d
+        for f, perm in enumerate(report.perms, start=1):
+            work = apply_level_perm(work, f, perm)
+        for eq in report.equations:
+            assert all(sum(e * v for e, v in zip(eq.exponents, row)) % 5 == eq.constant for row in work.rows)
