@@ -42,11 +42,11 @@ def validate_levels(s: int) -> int:
     """Reject level counts that are not primes in [2, MAX_LEVELS]."""
     if isinstance(s, int) and s in _SUPPORTED_LEVELS:
         return s
-    if not isinstance(s, int) or not is_prime(s):
-        raise ValueError(f"number of levels must be prime, got {s!r}")
-    if s > MAX_LEVELS:
+    # no primality test above MAX_LEVELS, so a huge s cannot hang; every
+    # smaller int outside the supported set is not a prime
+    if isinstance(s, int) and s > MAX_LEVELS:
         raise ValueError(f"number of levels {s} exceeds supported maximum {MAX_LEVELS}")
-    return s
+    raise ValueError(f"number of levels must be prime, got {s!r}")
 
 
 class CycInt:

@@ -27,35 +27,34 @@ decides the square; that check also proves the loop associative.  Every
 valid psi is h * phi + c, one affine coset, so its representative fixing
 0 and 1 is unique and no enumeration of relabelings is needed.
 
-A rank-1 square splits as C[a][b] = c0 + r(a) + col(b) with r(0) =
-col(0) = 0, read off from the column and row whose leading entry is 0.
-Each readout map factors as h * rep with rep fixing 0 and 1: the affine
-slope h is absorbed into the equation's exponent, the residual rep is
-applied to the factor, and the equation becomes
-X_i^{h_i} X_j^{h_j} X_k^{s-1} = w_{[-c0]} in the permuted coordinates;
-monomial readouts therefore need no actual permutation.
+After that relabeling the equation is one affine identity,
 
-Equations over q >= 4 factors are found layer by layer: fixing the levels
-of the q-3 trailing factors must give rank-1 squares with identical row
-and column increments throughout, and the corner constants must split into
-one bijection of Z_s per trailing factor.  The relabeling of X_k comes
-from the layer where every trailing factor is at level 0; a triple is the
-case with no trailing factor, read out by the same code.
+    rep(x_k) = c0 + g_i(x_i) + g_j(x_j) + sum over outer t of g_t(x_t),
+
+on every run, read off at the origin.  The square with every outer
+factor at level 0 gives rep; c0 is rep of X_k where all support factors
+are at level 0, and each support factor's map g_f is read from its own
+axis, the other factors at level 0, so g_f(0) = 0.  Each g_f must be a
+bijection and factors as h * rep_f with rep_f fixing 0 and 1: the affine
+slope h is absorbed into the equation's exponent, rep_f is applied to the
+factor, and the equation becomes X^alpha X_k^{s-1} = w_{[-c0]} in the
+permuted coordinates; monomial readouts need no actual permutation.  A
+triple is the case with no outer factor, read out by the same code.
 
 Factors whose permutation an earlier accepted equation already fixed may
-not be re-permuted; for them the readout maps must come out linear
-(e -> [h*e]) so that only the exponent absorbs them, and a committed X_k
-is accepted only when its derived relabeling phi is monomial, i.e. its
-representative is the identity and the square is rank 1 as it stands.
-Since every relabeling is forced up to an affine map, a committed factor
-loses nothing, and an equation that fails to read out proves the design
-is not regular.
+not be re-permuted.  The design is not relabeled for them: each carries
+the representative it must need, and its readout (or, for X_k, its
+square) must come out with exactly that representative, so only the
+exponent absorbs the rest.  Since every relabeling is forced up to an
+affine map, a committed factor loses nothing, and an equation that fails
+to read out proves the design is not regular.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .design import (
@@ -183,18 +182,6 @@ def reduce_and_read(square: LatinSquare) -> tuple[LevelPerm, LevelPerm, int]:
     return pi_row, pi_col, c0
 
 
-def _split_readout(readout: Sequence[int], s: int) -> tuple[int, LevelPerm]:
-    """Write a leading-zero readout map g as g(e) = [h * rep(e)], rep fixing 0 and 1.
-
-    The affine part h moves into the equation's exponent, so factors whose
-    relabeling is monomial need no actual permutation; the residual rep is
-    the canonical coset representative.
-    """
-    perm = LevelPerm(s, tuple(readout))
-    h, _, rep = monomial_decompose(perm)
-    return h, rep
-
-
 def _cyclic_representative(rows: Sequence[Sequence[int]], s: int) -> LevelPerm | None:
     """The relabeling fixing 0 and 1 that makes ``rows`` rank 1, or None.
 
@@ -236,30 +223,10 @@ def find_triple_equation(
     their readout; applying them to the design makes X^alpha = w_c hold.
     None when X_k is not a function of (X_i, X_j) or no relabeling works.
     """
-    square = latin_square(design, *factors)
-    if square is None:
+    if latin_square(design, *factors) is None:
         return None
-    return _read_equation(design, tuple(factors), {(): square.rows}, frozenset(committed))
-
-
-def _layer_tables(design: Design, i: int, j: int, k: int, outers: tuple[int, ...]):
-    """Tables X_k(X_i, X_j) for every level combination of the outer factors."""
-    s = design.s
-    tables: dict[tuple[int, ...], list[list[int | None]]] = {}
-    for row in design.rows:
-        z = tuple(row[t - 1] for t in outers)
-        cell = tables.setdefault(z, [[None] * s for _ in range(s)])
-        a, b, v = row[i - 1], row[j - 1], row[k - 1]
-        if cell[a][b] is None:
-            cell[a][b] = v
-        elif cell[a][b] != v:
-            return None
-    if len(tables) != s ** len(outers):
-        return None
-    for cell in tables.values():
-        if any(v is None for r in cell for v in r):
-            return None
-    return tables
+    identity = LevelPerm.identity(design.s)
+    return _multilayer_search(design, tuple(factors), dict.fromkeys(committed, identity))
 
 
 def find_equation_multilayer(
@@ -268,14 +235,17 @@ def find_equation_multilayer(
     fixed_perms: Mapping[int, LevelPerm] | None = None,
     known_supports: Iterable[frozenset[int]] = (),
 ):
-    """Search for a q-factor equation (q >= 4) layer by layer.
+    """Search for a q-factor equation (q >= 4) with one affine check.
 
-    ``factors`` is ordered: (inner, inner, dependent, outer...).  Factors in
-    ``fixed_perms`` are relabeled first and then may not be re-permuted.  A
-    tuple containing the whole support of an already-found equation is
-    skipped outright.  Returns (perms, DefiningEquation) over the free
-    factors, stated for the design after both fixed and returned
-    permutations, or None.
+    ``factors`` is ordered: (inner, inner, dependent, outer...).  The
+    relabeling of the dependent factor comes from the square over the two
+    inner factors with every outer factor at level 0, each other factor's
+    readout from its own axis with the rest at level 0, and one check on
+    every run decides the equation.  Factors in ``fixed_perms`` are
+    relabeled first and then may not be re-permuted.  A tuple containing
+    the whole support of an already-found equation is skipped outright.
+    Returns (perms, DefiningEquation) over the free factors, stated for
+    the design after both fixed and returned permutations, or None.
     """
     factors = tuple(factors)
     if len(factors) < 4:
@@ -288,74 +258,57 @@ def find_equation_multilayer(
             return None
     fixed_perms = dict(fixed_perms or {})
     work = _relabel(design, fixed_perms)
-    return _multilayer_search(work, factors, frozenset(fixed_perms))
+    return _multilayer_search(work, factors, dict.fromkeys(fixed_perms, LevelPerm.identity(design.s)))
 
 
-def _multilayer_search(design: Design, factors: tuple[int, ...], committed: frozenset[int]):
-    tables = _layer_tables(design, *factors[:3], factors[3:])
-    if tables is None:
-        return None
-    return _read_equation(design, factors, tables, committed)
+def _multilayer_search(design: Design, factors: tuple[int, ...], known: Mapping[int, LevelPerm]):
+    """The equation on ``factors`` = (i, j, k, outer...) with X_k dependent, or None.
 
-
-def _read_equation(design: Design, factors: tuple[int, ...], tables, committed: frozenset[int]):
-    """The equation on ``factors`` from their layer tables, or None.
-
-    ``tables`` maps each level combination of the outer factors (none for
-    a triple) to the table X_k(X_i, X_j); this is the one readout and
-    commit path for triples and larger tuples.
+    This is the one readout and commit path for triples and larger tuples.
+    ``known`` maps a factor to the coset representative it must need, so
+    a design need not be relabeled by the permutations already committed;
+    only the factors outside it get a permutation in the result.
     """
-    s, m = design.s, design.m
-    i, j, k = factors[0], factors[1], factors[2]
-    outers = factors[3:]
-    zero = (0,) * len(outers)
-    base = tables[zero]
-    # Under an equation every layer is a Latin square, whatever the value
-    # relabeling; the relabeling comes from the zero layer alone.  A
-    # committed X_k must already be rank 1, i.e. need the identity.
-    rep = _cyclic_representative(base, s)
-    if rep is None or (k in committed and not rep.is_identity):
+    s, m, k = design.s, design.m, factors[2]
+    support = (factors[0], factors[1], *factors[3:])
+    levels = itemgetter(*(f - 1 for f in support))
+    table: dict[tuple[int, ...], int] = {}
+    for row in design.rows:
+        v = row[k - 1]
+        if table.setdefault(levels(row), v) != v:
+            return None
+    if len(table) < s ** len(support):
         return None
-    if not rep.is_identity:
-        image = rep.image
-        tables = {z: [[image[v] for v in r] for r in cell] for z, cell in tables.items()}
-        base = tables[zero]
-    c0 = base[0][0]
-    b0 = base[0].index(0)
-    r_map = tuple(base[a][b0] for a in range(s))
-    c_map = tuple(base[next(a for a in range(s) if base[a][0] == 0)])
-    # every layer must share the base increments, differing by a constant
-    corners = {}
-    for z, cell in tables.items():
-        delta = (cell[0][0] - c0) % s
-        if any((cell[a][b] - base[a][b]) % s != delta for a in range(s) for b in range(s)):
-            return None
-        corners[z] = cell[0][0]
-    # corner constants must split into one bijection per outer factor
-    outer_maps = []
-    for t in range(len(outers)):
-        g = []
-        for v in range(s):
-            z = tuple(v if u == t else 0 for u in range(len(outers)))
-            g.append((corners[z] - c0) % s)
-        if sorted(g) != list(range(s)):
-            return None
-        outer_maps.append(tuple(g))
-    for z, corner in corners.items():
-        expect = (c0 + sum(outer_maps[t][z[t]] for t in range(len(outers)))) % s
-        if corner != expect:
-            return None
+    # Under an equation the zero layer is a Latin square isotopic to Z_s,
+    # whatever the value relabeling, and it alone fixes the relabeling.
+    origin = (0,) * len(support)
+    zero = origin[2:]
+    rep = _cyclic_representative([[table[(a, b, *zero)] for b in range(s)] for a in range(s)], s)
+    if rep is None or known.get(k, rep) != rep:
+        return None
+    image = rep.image
+    c0 = image[table[origin]]
+    readouts = []
     exponents = [0] * m
     perms: dict[int, LevelPerm] = {}
-    for factor, readout in ((i, r_map), (j, c_map), *zip(outers, outer_maps)):
-        h, residual = _split_readout(readout, s)
-        if factor in committed and not residual.is_identity:
+    for t, f in enumerate(support):
+        g = tuple((image[table[origin[:t] + (e,) + origin[t + 1:]]] - c0) % s for e in range(s))
+        if len(set(g)) != s:
             return None
-        exponents[factor - 1] = h
-        if factor not in committed:
-            perms[factor] = residual
+        # the affine slope h moves into the exponent; the representative
+        # fixing 0 and 1 is the factor's permutation
+        h, _, residual = monomial_decompose(LevelPerm(s, g))
+        if known.get(f, residual) != residual:
+            return None
+        readouts.append(g)
+        exponents[f - 1] = h
+        if f not in known:
+            perms[f] = residual
+    for key, v in table.items():
+        if image[v] != (c0 + sum(map(tuple.__getitem__, readouts, key))) % s:
+            return None
     exponents[k - 1] = s - 1
-    if k not in committed:
+    if k not in known:
         perms[k] = rep
     return perms, DefiningEquation(tuple(exponents), (-c0) % s)
 
@@ -443,17 +396,15 @@ def regularity_check(design: Design) -> RegularityReport:
         else:
             return RegularityReport(False, strength, (identity,) * m, (), 0)
 
-    work = design
     committed: dict[int, LevelPerm] = {}
     equations: list[DefiningEquation] = []
     for k in dependent:
         # strength 2 gives every support at least two factors
         support = _support(design, basis, k)
-        found = _multilayer_search(work, (support[0], support[1], k, *support[2:]), frozenset(committed))
+        found = _multilayer_search(design, (support[0], support[1], k, *support[2:]), committed)
         if found is None:
             return RegularityReport(False, strength, (identity,) * m, (), len(equations) + 1)
         perms, eq = found
-        work = _relabel(work, perms)
         committed.update(perms)
         equations.append(eq)
 

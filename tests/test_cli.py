@@ -118,6 +118,13 @@ class TestAnalyze:
         assert code == 3
         assert "not UTF-8" in err
 
+    def test_huge_level_count_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("1 2 100000000000000000039\n0 0\n", encoding="utf-8")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 3
+        assert "exceeds supported maximum" in err
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 

@@ -66,8 +66,10 @@ class TestCycInt:
         for bad in (0, 1, 9, 91, True, 5.0, "5", None, [5]):
             with pytest.raises(ValueError, match=r"must be prime, got " + re.escape(repr(bad))):
                 validate_levels(bad)
-        with pytest.raises(ValueError, match="101 exceeds supported maximum 97"):
-            validate_levels(101)
+        # above the maximum, composites and primes alike, without a primality test
+        for big in (98, 101, 10**20 + 39):
+            with pytest.raises(ValueError, match=f"{big} exceeds supported maximum 97"):
+                validate_levels(big)
 
     def test_is_zero_on_constant_vectors(self):
         assert cyc(5, (1, 1, 1, 1, 1)).is_zero()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ FRACTION_25_TEXT = "25 3 5\n" + "\n".join(
     for row in sorted((a, b, (a + b) % 5) for a in range(5) for b in range(5))
 ) + "\n"
 
+# a prime far too large for trial division to decide
+HUGE_LEVELS_TEXT = "1 2 100000000000000000039\n0 0\n"
 
 # short lines of tokens that are mostly small levels, so fuzzing reaches
 # the header, row and run-count checks
@@ -57,6 +60,12 @@ class TestParsing:
     def test_nonprime_levels(self):
         with pytest.raises(ParseError, match="prime"):
             parse_design("1 2 6\n0 0\n")
+
+    def test_huge_level_count_is_rejected_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exceeds supported maximum 97"):
+            parse_design(HUGE_LEVELS_TEXT)
+        assert time.perf_counter() - start < 0.5
 
     def test_duplicate_rows(self):
         with pytest.raises(ParseError, match="duplicate"):

@@ -29,7 +29,9 @@ from regfrac import (
     table_rank_one,
     verify_equations,
 )
+from regfrac import regularity
 from regfrac.linalg import same_row_space
+from regfrac.permutation import _relabel
 from fixtures import (
     LAYERS_125,
     SQUARE_125_TRIPLE,
@@ -677,6 +679,45 @@ class TestInformationSetDecision:
         report = regularity_check(Design(s=5, m=3, rows=rows))
         assert not report.regular and report.tuples_examined == 0
         assert regularity_check(full_factorial(3, 3)).tuples_examined == 0
+
+    def test_failure_at_the_second_square(self):
+        # X4 = x1 + x2 commits factor 1 unpermuted; X5 = g(x1) + x3 then
+        # needs factor 1 relabeled by g's representative, which is not affine
+        g = (0, 1, 3, 2, 4)
+        rows = tuple(
+            (x1, x2, x3, (x1 + x2) % 5, (g[x1] + x3) % 5)
+            for x1 in range(5) for x2 in range(5) for x3 in range(5)
+        )
+        d = Design(s=5, m=5, rows=rows)
+        report = regularity_check(d)
+        assert not report.regular and report.strength == 2
+        assert report.tuples_examined == 2
+        assert tuple_search_regularity(d) is None
+
+    def test_design_is_relabeled_only_to_verify_the_witness(self, monkeypatch):
+        _, _, d = random_regular_design(random.Random(77), 5, 5, 2)
+        calls = []
+
+        def counting(design, perms):
+            calls.append(dict(perms))
+            return _relabel(design, perms)
+
+        monkeypatch.setattr(regularity, "_relabel", counting)
+        report = regularity_check(d)
+        assert report.regular and len(report.equations) == 2
+        assert calls == [dict(enumerate(report.perms, start=1))]
+
+    def test_known_representatives_are_enforced(self):
+        d = cyclic_design()
+        identity, swap = LevelPerm.identity(5), LevelPerm(5, (0, 1, 3, 2, 4))
+        assert regularity._multilayer_search(d, (1, 2, 3), {1: identity, 3: identity}) is not None
+        for f in (1, 2, 3):
+            assert regularity._multilayer_search(d, (1, 2, 3), {f: swap}) is None
+        # the scrambled square needs factor 3 relabeled; known, it must match
+        d = scrambled_design()
+        perms, _ = regularity._multilayer_search(d, (1, 2, 3), {})
+        assert regularity._multilayer_search(d, (1, 2, 3), {3: perms[3]}) is not None
+        assert regularity._multilayer_search(d, (1, 2, 3), {3: identity}) is None
 
     @pytest.mark.parametrize("m", [13, 28])
     def test_wide_nonregular_designs_decide_at_the_first_square(self, m):
