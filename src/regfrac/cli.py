@@ -56,6 +56,8 @@ def _parse_equation(text: str, m: int) -> DefiningEquation:
 
 
 def _cmd_analyze(args) -> int:
+    if args.max_order is not None and args.max_order < 0:
+        raise ValueError(f"--max-order must be at least 0, got {args.max_order}")
     design = _load_design(args.file)
     denominator = design.s**design.m
     full = denominator <= DEFAULT_ENUMERATION_BOUND

@@ -7,27 +7,33 @@ the per-factor level permutations are searched: column maps outermost,
 then a backtracking assignment of level permutations pruned by prefix
 projection multisets, with the last factor's permutation derived pointwise
 whenever it is a function of the others in the target.  That search is
-complete over m! * (s!)^(m-1) candidates, so a negative answer is a proof;
-running out of the time budget is reported as a distinct third outcome.
+complete over m! * (s!)^(m-1) candidates, so a negative answer is a proof.
+A deadline that passes mid-search ends it at once with the distinct third
+outcome ``exhausted``, never with a verdict.
 
-An equal-GWLP prefilter runs first: differing GWLPs prove non-isomorphism,
-equal ones decide nothing.  The GWLP is exact (tuples of Fractions, see
-``indicator``), so the comparison is plain equality with no tolerance: a
-rounding error can neither merge two patterns nor split one.
+The equal-GWLP prefilter always runs first: differing GWLPs prove
+non-isomorphism, equal ones decide nothing.  The GWLP is exact (tuples of
+Fractions, see ``indicator``), so the comparison is plain equality with no
+tolerance: a rounding error can neither merge two patterns nor split one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
 
 from .design import Design
 from .indicator import gwlp
-from .permutation import LevelPerm, apply_level_perm
+from .permutation import LevelPerm, _relabel
 
 DEFAULT_CANDIDATE_BOUND = 10**9
+
+
+class _OutOfTime(Exception):
+    """The search passed its deadline."""
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,7 @@ def gwlp_prefilter(a: Design, b: Design) -> bool:
 
 def apply_witness(design: Design, witness: IsoWitness) -> Design:
     rows = tuple(tuple(row[f - 1] for f in witness.column_map) for row in design.rows)
-    out = Design(s=design.s, m=design.m, rows=rows)
-    for j, perm in enumerate(witness.level_perms, start=1):
-        if not perm.is_identity:
-            out = apply_level_perm(out, j, perm)
-    return out
+    return _relabel(Design(s=design.s, m=design.m, rows=rows), dict(enumerate(witness.level_perms, 1)))
 
 
 def is_isomorphic(
@@ -86,49 +88,33 @@ def is_isomorphic(
     b: Design,
     budget_seconds: float = 300.0,
     candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
-    prefilter: bool = True,
 ) -> IsoResult:
     """Find a witness mapping ``a`` onto ``b``, prove there is none, or time out."""
     _check_shapes(a, b)
-    s, m, n = a.s, a.m, a.n
-    space = 1
-    for f in range(2, m + 1):
-        space *= f
-    perm_count = 1
-    for f in range(2, s + 1):
-        perm_count *= f
-    space *= perm_count ** max(m - 1, 0)
+    s, m = a.s, a.m
+    space = math.factorial(m) * math.factorial(s) ** max(m - 1, 0)
     if space > candidate_bound:
         raise ValueError(f"search space of {space} candidates exceeds bound {candidate_bound}")
 
     start = time.monotonic()
-    if prefilter and not gwlp_prefilter(a, b):
+    if not gwlp_prefilter(a, b):
         return IsoResult("not_isomorphic", None, 0, time.monotonic() - start)
 
-    b_rows = set(b.rows)
     b_prefix_counts = [Counter(row[: d + 1] for row in b.rows) for d in range(m)]
-    # target last-factor lookup, usable when the last coordinate is functional
-    b_func: dict[tuple[int, ...], int] | None = {}
-    for row in b.rows:
-        prev = b_func.setdefault(row[:-1], row[-1])
-        if prev != row[-1]:
-            b_func = None
-            break
+    # target last-factor lookup; the runs are distinct, so the last
+    # coordinate is a function of the others exactly when no key repeats
+    b_func: dict[tuple[int, ...], int] | None = {row[:-1]: row[-1] for row in b.rows}
+    if len(b_func) < b.n:
+        b_func = None
 
     all_perms = list(itertools.permutations(range(s)))
     deadline = start + budget_seconds
     checked = 0
-    timed_out = False
-
-    def timed_out_now() -> bool:
-        return time.monotonic() > deadline
 
     def derive_last(rows, prefixes):
         image: list[int | None] = [None] * s
         for row, pre in zip(rows, prefixes):
-            target = b_func.get(pre)
-            if target is None:
-                return None
+            target = b_func[pre]
             v = row[-1]
             if image[v] is None:
                 if target in image:
@@ -142,53 +128,42 @@ def is_isomorphic(
                 image[v] = missing_targets.pop()
         return tuple(image)
 
-    def search(rows) -> tuple[LevelPerm, ...] | None:
+    def descend(rows, depth: int, prefixes, chosen) -> list | None:
         # depth-first over factors; prefixes[r] = already-permuted prefix of row r
-        def descend(depth: int, prefixes, chosen) -> tuple[LevelPerm, ...] | None:
-            nonlocal checked, timed_out
-            if timed_out or timed_out_now():
-                timed_out = True
-                return None
-            if depth == m - 1 and b_func is not None:
+        nonlocal checked
+        if time.monotonic() > deadline:
+            raise _OutOfTime
+        if depth == m - 1 and b_func is not None:
+            # the prefixes are b's, each once, so a consistent last factor
+            # maps every row onto a distinct row of b
+            checked += 1
+            image = derive_last(rows, prefixes)
+            return None if image is None else chosen + [image]
+        for image in all_perms:
+            if time.monotonic() > deadline:
+                raise _OutOfTime
+            if depth == m - 1:
                 checked += 1
-                image = derive_last(rows, prefixes)
-                if image is None:
-                    return None
-                candidate = chosen + [image]
-                mapped = {pre + (image[row[-1]],) for row, pre in zip(rows, prefixes)}
-                if mapped == b_rows:
-                    return tuple(LevelPerm(s, im) for im in candidate)
-                return None
-            for image in all_perms:
-                if timed_out or timed_out_now():
-                    timed_out = True
-                    return None
-                if depth == m - 1:
-                    checked += 1
-                new_prefixes = [
-                    pre + (image[row[depth]],) for row, pre in zip(rows, prefixes)
-                ]
-                if Counter(new_prefixes) != b_prefix_counts[depth]:
-                    continue
-                if depth == m - 1:
-                    if set(new_prefixes) == b_rows:
-                        return tuple(LevelPerm(s, im) for im in chosen + [image])
-                    continue
-                result = descend(depth + 1, new_prefixes, chosen + [image])
-                if result is not None:
-                    return result
-            return None
+            new_prefixes = [pre + (image[row[depth]],) for row, pre in zip(rows, prefixes)]
+            if Counter(new_prefixes) != b_prefix_counts[depth]:
+                continue
+            if depth == m - 1:
+                # every count is 1, so equal counts mean equal point sets
+                return chosen + [image]
+            found = descend(rows, depth + 1, new_prefixes, chosen + [image])
+            if found is not None:
+                return found
+        return None
 
-        return descend(0, [() for _ in rows], [])
-
-    for cm in itertools.permutations(range(1, m + 1)):
-        remapped = [tuple(row[f - 1] for f in cm) for row in a.rows]
-        perms = search(remapped)
-        if perms is not None:
-            witness = IsoWitness(column_map=cm, level_perms=perms)
-            if apply_witness(a, witness).point_set() != b.point_set():
-                raise AssertionError("isomorphism witness failed verification")
-            return IsoResult("isomorphic", witness, checked, time.monotonic() - start)
-        if timed_out:
-            return IsoResult("exhausted", None, checked, time.monotonic() - start)
+    try:
+        for cm in itertools.permutations(range(1, m + 1)):
+            remapped = [tuple(row[f - 1] for f in cm) for row in a.rows]
+            images = descend(remapped, 0, [() for _ in remapped], [])
+            if images is not None:
+                witness = IsoWitness(cm, tuple(LevelPerm(s, im) for im in images))
+                if apply_witness(a, witness).point_set() != b.point_set():
+                    raise AssertionError("isomorphism witness failed verification")
+                return IsoResult("isomorphic", witness, checked, time.monotonic() - start)
+    except _OutOfTime:
+        return IsoResult("exhausted", None, checked, time.monotonic() - start)
     return IsoResult("not_isomorphic", None, checked, time.monotonic() - start)

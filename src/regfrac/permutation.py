@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterator, Mapping
 
 from .cyclotomic import CycInt, CycRational, validate_levels
@@ -162,12 +163,19 @@ class PermPolynomial:
         return tuple(u.scaled_numerator(self.s) for u in self.coeffs)
 
     def evaluate(self, k: int) -> CycRational:
-        """The polynomial at w_k: sum_h u_h * w_{[h*k]}."""
+        """The polynomial at w_k: sum_h u_h * w_{[h*k]}, over one common denominator.
+
+        Multiplying by w_{[h*k]} rotates u_h's numerator, so the sum is one
+        integer vector and is reduced to lowest terms once.
+        """
         s = self.s
-        acc = CycRational.zero(s)
+        denominator = lcm(*(u.denominator for u in self.coeffs))
+        acc = [0] * s
         for h, u in enumerate(self.coeffs):
-            acc = acc + u * CycInt(s, tuple(1 if i == (h * k) % s else 0 for i in range(s)))
-        return acc
+            scale = denominator // u.denominator
+            for i, c in enumerate(u.numerator.coeffs):
+                acc[(i + h * k) % s] += scale * c
+        return CycRational(CycInt(s, acc), denominator)
 
 
 def poly_coefficients(perm: LevelPerm) -> PermPolynomial:

@@ -99,6 +99,14 @@ class TestAnalyze:
         assert payload["strength"] == 1
         assert [e["alpha"] for e in payload["coefficients"]] == [[0] * m]
 
+    def test_negative_max_order_rejected(self, tmp_path, capsys):
+        path = tmp_path / "frac.txt"
+        path.write_text("2 2 2\n0 0\n1 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(path), "--max-order", "-1")
+        assert code == 3 and "--max-order" in err and out == ""
+        code, out, _ = run(capsys, "analyze", str(path), "--max-order", "0")
+        assert code == 0 and "nonzero coefficients up to order 0:" in out
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 3 5\n0 0 0\n0 0 9\n", encoding="utf-8")

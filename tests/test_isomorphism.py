@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import types
 
 import pytest
+
+import regfrac.isomorphism
 
 from regfrac import (
     Design,
@@ -57,6 +60,9 @@ class TestIsIsomorphic:
         result = is_isomorphic(nonregular_design(), cyclic_design())
         assert result.outcome == "not_isomorphic"
         assert result.witness is None
+        # 3! column maps times 5! * 5! choices for the first two factors,
+        # the third factor's permutation derived, not enumerated
+        assert result.candidates_checked == 86_400
 
     def test_symmetry_on_all_pairs(self):
         trio = [cyclic_design(), scrambled_design(), nonregular_design()]
@@ -93,6 +99,16 @@ class TestIsIsomorphic:
         result = is_isomorphic(nonregular_design(), cyclic_design(), budget_seconds=0.0)
         assert result.outcome == "exhausted"
         assert result.witness is None
+
+    def test_deadline_mid_search_is_exhausted(self, monkeypatch):
+        # a clock that passes the deadline on its 41st read, inside the search
+        reads = itertools.count()
+        clock = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 40 else 1e9)
+        monkeypatch.setattr(regfrac.isomorphism, "time", clock)
+        result = is_isomorphic(nonregular_design(), cyclic_design(), budget_seconds=1.0)
+        assert result.outcome == "exhausted"
+        assert result.witness is None
+        assert 0 < result.candidates_checked < 86_400
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
